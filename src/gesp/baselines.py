@@ -49,7 +49,6 @@ def diag_two_step_init(meas: MeasurementSet, k: int) -> InitEstimate:
         support=s,
         p_used=k,
         s0=s,
-        eig_iterations=res.iterations,
         residual_score=residual_score(meas, z),
     )
 
@@ -99,8 +98,7 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitE
             break
         previous, support = support, keep
     candidates = cycle or (support,)
-    counts = [start.eig_iterations]
-    estimates = [step4_estimate(op, s, meas.lambda_sq, _count=counts) for s in candidates]
+    estimates = [step4_estimate(op, s, meas.lambda_sq) for s in candidates]
     scores = [residual_score(meas, z) for z in estimates]
     best = scores.index(min(scores))
     return InitEstimate(
@@ -108,6 +106,5 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitE
         support=candidates[best],
         p_used=k,
         s0=start.s0,
-        eig_iterations=sum(counts),
         residual_score=scores[best],
     )

@@ -1,14 +1,16 @@
-"""Maximal eigenpair of a small Hermitian matrix via shifted power iteration.
+"""Maximal eigenpair of a small Hermitian matrix via one dense LAPACK solve.
 
 "Maximal" means the largest *algebraic* eigenvalue, not the largest in
 magnitude: the mean spectrum is positive semidefinite rank-one, so the
 signal direction always sits at the algebraic top, while a negative
-eigenvalue may dominate in modulus on finite samples.  Iterating on
-M + sigma*I with sigma the Gershgorin row bound makes the algebraic top the
-dominant eigenvalue of the shifted matrix.
+eigenvalue may dominate in modulus on finite samples.  The principal
+submatrices solved here are at most k x k, so a full Hermitian
+eigendecomposition (`np.linalg.eigh`) is cheap and, unlike an iterative
+method, does not slow down when the top eigenvalues nearly tie.
 
-The whole routine is deterministic: fixed starting vector, fixed shift,
-fixed phase canonicalization.  Identical inputs give bit-identical output.
+The routine is deterministic: LAPACK's Hermitian solver plus a fixed phase
+canonicalization give bit-identical output for identical input on one
+numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -19,20 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NonConvergenceError(RuntimeError):
-    """Power iteration failed to meet tolerance within the iteration cap."""
-
-    def __init__(self, message, last_iterate, residual):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class EigResult:
     eigenvalue: float
     eigenvector: np.ndarray  # unit norm, phase-canonical
-    iterations: int
     residual: float
 
 
@@ -48,90 +40,29 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_eigvec(mat, tol: float = 1e-10, max_iter: int | None = None, dense_fallback: bool = True) -> EigResult:
+def max_eigvec(mat, tol: float = 1e-10) -> EigResult:
     """Eigenpair of the largest algebraic eigenvalue of a Hermitian matrix.
 
-    Convergence requires both a phase-aligned successive-iterate change
-    below tol and a residual ||M v - tau v|| <= tol * max(1, |tau|).
-
-    Power iteration contracts like (lambda_2+sigma)/(lambda_1+sigma) per
-    step, which stalls when the top eigenvalues nearly tie; with
-    dense_fallback the cap then hands over to a full Hermitian
-    eigendecomposition (still deterministic, still meeting the residual
-    contract).  With dense_fallback=False a hit cap raises
-    NonConvergenceError carrying the last iterate and residual.
+    One `np.linalg.eigh` call on the matrix (its lower triangle is read);
+    eigh sorts eigenvalues in ascending order, so the last column is the
+    maximal eigenvector.  The vector is rotated to a canonical global phase
+    and the eigenvalue reported is its Rayleigh quotient tau.  The residual
+    ||M v - tau v|| must be at most tol * max(1, |tau|), or
+    np.linalg.LinAlgError is raised: a larger residual means the input was
+    not Hermitian or not finite.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = m.shape[0]
-    if max_iter is None:
-        max_iter = 10 * d + 500
 
-    sigma = float(np.max(np.sum(np.abs(m), axis=1)))  # Gershgorin bound
-    shifted = m + sigma * np.eye(d)
-
-    # start at the basis vector of the largest diagonal entry, nudged by a
-    # fixed dense perturbation so the iterate cannot start exactly
-    # orthogonal to the top eigenspace
-    start = int(np.argmax(m.diagonal().real))
-    v = np.full(d, 1e-3 * (1.0 + 1.0j) / math.sqrt(2.0 * d))
-    v[start] += 1.0
-    v /= np.linalg.norm(v)
-
-    def rayleigh_residual(vec):
-        mv = m @ vec
-        tau = float(np.vdot(vec, mv).real)
-        diff = mv - tau * vec
-        return tau, math.sqrt(float(np.vdot(diff, diff).real))
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        w = shifted @ v
-        nw = math.sqrt(float(np.vdot(w, w).real))
-        if nw == 0.0:
-            # v lies in the kernel of M + sigma*I, i.e. it is an exact
-            # eigenvector of M with eigenvalue -sigma
-            converged = True
-            break
-        w /= nw
-        # phase-align w to v by explicit rotation before differencing;
-        # the closed form sqrt(2 - 2|<v,w>|) loses half the digits
-        inner = complex(np.vdot(v, w))
-        aligned = w if inner == 0 else w * (inner.conjugate() / abs(inner))
-        diff = v - aligned
-        step = math.sqrt(float(np.vdot(diff, diff).real))
-        v = w
-        if step < tol:
-            # the residual check costs an extra matvec, so gate it behind
-            # the cheap iterate-difference criterion
-            tau, residual = rayleigh_residual(v)
-            if residual <= tol * max(1.0, abs(tau)):
-                converged = True
-                break
-
-    if not converged:
-        tau, residual = rayleigh_residual(v)
-        if not dense_fallback:
-            raise NonConvergenceError(
-                f"power iteration did not converge in {max_iter} iterations "
-                f"(residual {residual:.3e})",
-                last_iterate=v,
-                residual=residual,
-            )
-        _, vectors = np.linalg.eigh(m)  # ascending order
-        v = vectors[:, -1]
-        tau, residual = rayleigh_residual(v)
-        if residual > tol * max(1.0, abs(tau)):
-            raise NonConvergenceError(
-                f"dense fallback residual {residual:.3e} exceeds tolerance",
-                last_iterate=v,
-                residual=residual,
-            )
-
-    v = _canonical_phase(v)
-    tau, residual = rayleigh_residual(v)
-    return EigResult(eigenvalue=tau, eigenvector=v, iterations=iterations, residual=residual)
+    _, vectors = np.linalg.eigh(m)  # ascending order
+    v = _canonical_phase(vectors[:, -1])
+    mv = m @ v
+    tau = float(np.vdot(v, mv).real)
+    diff = mv - tau * v
+    residual = math.sqrt(float(np.vdot(diff, diff).real))
+    if not residual <= tol * max(1.0, abs(tau)):
+        raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.1e} * max(1, |{tau:.6g}|)")
+    return EigResult(eigenvalue=tau, eigenvector=v, residual=residual)

@@ -30,6 +30,14 @@ class MeasurementSet:
             raise ValueError("sensing must be an m x n array")
         if self.y.shape != (self.sensing.shape[0],):
             raise ValueError("y length must match the sensing row count")
+        if not np.isfinite(self.sensing).all():
+            raise ValueError("sensing has non-finite entries")
+        if not np.isfinite(self.y).all():
+            raise ValueError("y has non-finite entries")
+        if (self.y < 0).any():
+            raise ValueError("y has negative entries; moduli must be non-negative")
+        if not (math.isfinite(self.lambda_sq) and self.lambda_sq >= 0):
+            raise ValueError(f"lambda_sq must be finite and non-negative, got {self.lambda_sq}")
 
     @property
     def m(self) -> int:
@@ -68,13 +76,28 @@ def save_measurements(meas: MeasurementSet, path) -> None:
 
 
 def load_measurements(path) -> MeasurementSet:
+    """Read a dump written by save_measurements.  The file must be exactly
+    the size its header declares: a shorter one is a truncated file, a
+    longer one has trailing bytes after y."""
     with open(path, "rb") as f:
-        magic = f.read(5)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        n, m = struct.unpack("<QQ", f.read(16))
-        sensing = np.frombuffer(f.read(16 * m * n), dtype="<c16").reshape(m, n).astype(complex)
-        y = np.frombuffer(f.read(8 * m), dtype="<f8").astype(float)
-    if y.size != m:
-        raise ValueError(f"{path}: truncated file")
+        blob = f.read()
+    magic = blob[:len(_MAGIC)]
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+    header = len(_MAGIC) + 16
+    if len(blob) < header:
+        raise ValueError(f"{path}: truncated file: expected at least {header} bytes of header, got {len(blob)}")
+    n, m = struct.unpack_from("<QQ", blob, len(_MAGIC))
+    if n < 1 or m < 1:
+        raise ValueError(f"{path}: header gives n={n}, m={m}; both must be >= 1")
+    expected = header + 16 * m * n + 8 * m
+    if len(blob) < expected:
+        raise ValueError(f"{path}: truncated file: expected {expected} bytes for n={n}, m={m}, got {len(blob)}")
+    if len(blob) > expected:
+        raise ValueError(
+            f"{path}: {len(blob) - expected} trailing bytes after y: "
+            f"expected {expected} bytes for n={n}, m={m}, got {len(blob)}"
+        )
+    sensing = np.frombuffer(blob, dtype="<c16", count=m * n, offset=header).reshape(m, n).astype(complex)
+    y = np.frombuffer(blob, dtype="<f8", count=m, offset=header + 16 * m * n).astype(float)
     return MeasurementSet(sensing=sensing, y=y, lambda_sq=float(np.mean(y**2)))

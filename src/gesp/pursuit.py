@@ -74,7 +74,6 @@ class InitEstimate:
     support: np.ndarray    # S1, the k estimated support indices
     p_used: int
     s0: np.ndarray         # the p_used indices selected in step 1
-    eig_iterations: int    # power-iteration count summed over steps 2 and 4
     residual_score: float  # measurement consistency of z
 
 
@@ -83,12 +82,10 @@ def step1_select_s0(diag, p: int) -> np.ndarray:
     return top_k_indices(diag, p)
 
 
-def step2_direction(op: spectrum.SpectrumOperator, s0, *, _count=None) -> np.ndarray:
+def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
     """Unit maximal eigenvector of Z_{S0}, embedded into n dimensions."""
     s0 = np.asarray(s0, dtype=int)
     res = max_eigvec(spectrum.submatrix(op, s0))
-    if _count is not None:
-        _count.append(res.iterations)
     e0 = np.zeros(op.meas.n, dtype=complex)
     e0[s0] = res.eigenvector
     return e0
@@ -99,12 +96,10 @@ def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
     return top_k_indices(np.abs(spectrum.matvec(op, e0)), k)
 
 
-def step4_estimate(op: spectrum.SpectrumOperator, s1, lambda_sq: float, *, _count=None) -> np.ndarray:
+def step4_estimate(op: spectrum.SpectrumOperator, s1, lambda_sq: float) -> np.ndarray:
     """Maximal eigenvector of Z_{S1} embedded and scaled to ||z||^2 = lambda_sq."""
     s1 = np.asarray(s1, dtype=int)
     res = max_eigvec(spectrum.submatrix(op, s1))
-    if _count is not None:
-        _count.append(res.iterations)
     z = np.zeros(op.meas.n, dtype=complex)
     z[s1] = res.eigenvector * math.sqrt(lambda_sq)
     return z
@@ -123,17 +118,15 @@ def residual_score(meas: MeasurementSet, z) -> float:
 
 
 def _run_with_p(op, meas, k, p):
-    counts: list[int] = []
     s0 = step1_select_s0(spectrum.diagonal(op), p)
-    e0 = step2_direction(op, s0, _count=counts)
+    e0 = step2_direction(op, s0)
     s1 = step3_select_s1(op, e0, k)
-    z = step4_estimate(op, s1, meas.lambda_sq, _count=counts)
+    z = step4_estimate(op, s1, meas.lambda_sq)
     return InitEstimate(
         z=z,
         support=s1,
         p_used=p,
         s0=s0,
-        eig_iterations=sum(counts),
         residual_score=residual_score(meas, z),
     )
 

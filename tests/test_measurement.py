@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gesp.measurement import load_measurements, measure, sample_sensing, save_measurements
+from gesp.measurement import MeasurementSet, load_measurements, measure, sample_sensing, save_measurements
 from gesp.numerics import magnitude_profile
 from gesp.signals import SignalModelSpec, SparseSignal, generate
 
@@ -121,3 +121,63 @@ class TestBinaryDump:
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_measurements(path)
+
+    def _dump_20x15(self, tmp_path):
+        rng = np.random.default_rng(107)
+        sig = generate(SignalModelSpec(model="gaussian", n=15, k=4), rng)
+        meas = measure(sig, sample_sensing(15, 20, rng))
+        path = tmp_path / "meas.bin"
+        save_measurements(meas, path)
+        return path, path.read_bytes()
+
+    def test_truncated_inside_sensing(self, tmp_path):
+        path, blob = self._dump_20x15(tmp_path)
+        expected = 21 + 16 * 20 * 15 + 8 * 20
+        assert len(blob) == expected
+        cut = 21 + 16 * 150 + 3  # mid-entry, inside the sensing block
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=rf"meas\.bin: truncated file: expected {expected} bytes .* got {cut}"):
+            load_measurements(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._dump_20x15(tmp_path)
+        path.write_bytes(blob + b"\x00" * 8)
+        with pytest.raises(ValueError, match=r"meas\.bin: 8 trailing bytes after y"):
+            load_measurements(path)
+
+    def test_empty_dimension_rejected(self, tmp_path):
+        path = tmp_path / "meas.bin"
+        path.write_bytes(b"SPRM1" + (0).to_bytes(8, "little") + (3).to_bytes(8, "little") + b"\x00" * 24)
+        with pytest.raises(ValueError, match=r"meas\.bin: header gives n=0, m=3"):
+            load_measurements(path)
+
+
+class TestMeasurementSetChecks:
+    def _parts(self):
+        sensing = np.ones((3, 2), dtype=complex)
+        y = np.array([1.0, 0.5, 2.0])
+        return sensing, y, float(np.mean(y**2))
+
+    def test_valid_set_accepted(self):
+        sensing, y, lam = self._parts()
+        assert MeasurementSet(sensing=sensing, y=y, lambda_sq=lam).m == 3
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_lambda_sq(self, lam):
+        sensing, y, _ = self._parts()
+        with pytest.raises(ValueError, match="lambda_sq"):
+            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_y(self, bad):
+        sensing, y, lam = self._parts()
+        y[1] = bad
+        with pytest.raises(ValueError, match="^y has"):
+            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_non_finite_sensing(self, bad):
+        sensing, y, lam = self._parts()
+        sensing[2, 1] = bad
+        with pytest.raises(ValueError, match="^sensing has non-finite"):
+            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
