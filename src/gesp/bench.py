@@ -249,41 +249,38 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
     seed, sig, meas = build_trial_instance(config, ratio_index, trial_index)
     x = sig.vector
     nx = float(np.linalg.norm(x))
+    clock = time.perf_counter if config.record_runtime else lambda: 0.0
     records = []
     for algo in config.algorithms:
-        start = time.perf_counter() if config.record_runtime else 0.0
+        fields = dict(
+            signal_model=config.signal.model,
+            algorithm=algo.name,
+            strategy=algo.strategy_label,
+            n=config.n, k=config.k, m=m, ratio=ratio,
+            trial_index=trial_index, seed=seed,
+        )
+        start = clock()
         try:
             est = run_algorithm(algo, meas, config.k, sig)
-            runtime_ms = (time.perf_counter() - start) * 1e3 if config.record_runtime else 0.0
+            fields["runtime_ms"] = (clock() - start) * 1e3
             overlap = np.intersect1d(est.support, sig.support).size
-            records.append(TrialRecord(
-                signal_model=config.signal.model,
-                algorithm=algo.name,
-                strategy=algo.strategy_label,
-                n=config.n, k=config.k, m=m, ratio=ratio,
-                trial_index=trial_index, seed=seed,
+            fields.update(
                 p_used=est.p_used,
                 relative_error=relative_error(est.z, x),
                 raw_error=float(np.linalg.norm(est.z - x)) / nx,
                 support_fraction=overlap / config.k,
-                runtime_ms=runtime_ms,
                 error_flag=0,
-            ))
+            )
         except Exception:
-            runtime_ms = (time.perf_counter() - start) * 1e3 if config.record_runtime else 0.0
-            records.append(TrialRecord(
-                signal_model=config.signal.model,
-                algorithm=algo.name,
-                strategy=algo.strategy_label,
-                n=config.n, k=config.k, m=m, ratio=ratio,
-                trial_index=trial_index, seed=seed,
+            fields.update(
+                runtime_ms=(clock() - start) * 1e3,
                 p_used=0,
                 relative_error=math.nan,
                 raw_error=math.nan,
                 support_fraction=math.nan,
-                runtime_ms=runtime_ms,
                 error_flag=1,
-            ))
+            )
+        records.append(TrialRecord(**fields))
     return records
 
 

@@ -8,9 +8,12 @@ Given phaseless measurements of a k-sparse signal, the pipeline
   4. returns the maximal eigenvector of the S1 submatrix rescaled so that
      ||z||^2 equals lambda_sq.
 
-The width p can be fixed, derived from the true energy profile (oracle
-regime), set to ceil(sqrt(k)) or k, or scanned over all of [k] keeping the
-estimate most consistent with the measurements.
+Every strategy resolves to a range of widths: fixed, known_structure
+(derived from the true energy profile, an oracle regime), sqrt_k and full_k
+give one width, ensemble gives all of [k].  gesp builds the spectrum and
+its diagonal once, runs steps 2-4 at each width, and keeps the estimate
+most consistent with the measurements.  The baselines finish their own
+supports with the same step 4 and residual_score.
 """
 
 from __future__ import annotations
@@ -117,18 +120,16 @@ def residual_score(meas: MeasurementSet, z) -> float:
     return float(np.mean((meas.y - moduli) ** 2))
 
 
-def _run_with_p(op, meas, k, p):
-    s0 = step1_select_s0(spectrum.diagonal(op), p)
+def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
+    """Step 4 on the support s1, scored against the measurements."""
+    z = step4_estimate(op, s1, op.meas.lambda_sq)
+    return InitEstimate(z=z, support=s1, p_used=p_used, s0=s0, residual_score=residual_score(op.meas, z))
+
+
+def _run_with_p(op, diag, k, p):
+    s0 = step1_select_s0(diag, p)
     e0 = step2_direction(op, s0)
-    s1 = step3_select_s1(op, e0, k)
-    z = step4_estimate(op, s1, meas.lambda_sq)
-    return InitEstimate(
-        z=z,
-        support=s1,
-        p_used=p,
-        s0=s0,
-        residual_score=residual_score(meas, z),
-    )
+    return _finish(op, step3_select_s1(op, e0, k), p, s0)
 
 
 def gesp(
@@ -137,25 +138,17 @@ def gesp(
     strategy: PStrategy = PStrategy.full_k(),
     true_profile: MagnitudeProfile | None = None,
 ) -> InitEstimate:
-    """Run the full pursuit with the width dictated by the strategy.
+    """Run the pursuit at every width the strategy allows and keep the
+    estimate with the smallest residual_score, the smallest p on ties.
 
-    known_structure needs the true signal's MagnitudeProfile (an oracle
-    input: it reproduces the regime where the energy structure is known).
-    ensemble runs every p in [k] on the shared spectrum and keeps the
-    estimate with the smallest residual_score, smallest p on ties.
+    ensemble allows every p in [k], each other strategy one p.  The
+    exponential spectrum and its diagonal are computed once and shared by
+    all widths.  known_structure needs the true signal's MagnitudeProfile
+    (an oracle input: it reproduces the regime where the energy structure
+    is known).
     """
     if not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
-    op = spectrum.build(meas, "exponential")
-
-    if strategy.kind == "ensemble":
-        best = None
-        for p in range(1, k + 1):
-            est = _run_with_p(op, meas, k, p)
-            if best is None or est.residual_score < best.residual_score:
-                best = est
-        return best
-
     if strategy.kind == "fixed":
         p = strategy.p_value
         if p > k:
@@ -166,6 +159,9 @@ def gesp(
         p = p_opt(true_profile, k, strategy.variant)
     elif strategy.kind == "sqrt_k":
         p = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
-    else:  # full_k
+    else:  # full_k, and the widest width of ensemble
         p = k
-    return _run_with_p(op, meas, k, p)
+    widths = range(1 if strategy.kind == "ensemble" else p, p + 1)
+    op = spectrum.build(meas, "exponential")
+    diag = spectrum.diagonal(op)
+    return min((_run_with_p(op, diag, k, w) for w in widths), key=lambda est: est.residual_score)

@@ -37,18 +37,16 @@ def build(meas: MeasurementSet, kind: str = "exponential", *, norm_sq: float | N
 
     The exponential weights use lambda_sq from the measurements; `norm_sq`
     substitutes the true signal energy instead (analysis/test hook only --
-    the solver never knows ||x||).
+    the solver never knows ||x||).  Either weighting rejects a zero energy:
+    no estimate with ||z||^2 = lambda_sq = 0 has k nonzeros.
     """
     if kind not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {kind!r}; expected one of {WEIGHTINGS}")
+    scale = meas.lambda_sq if norm_sq is None else float(norm_sq)
+    if scale <= 0.0:
+        raise ValueError("degenerate measurements: lambda_sq is zero, all observations vanish")
     y_sq = meas.y**2
-    if kind == "quadratic":
-        weights = y_sq
-    else:
-        scale = meas.lambda_sq if norm_sq is None else float(norm_sq)
-        if scale <= 0.0:
-            raise ValueError("degenerate measurements: lambda_sq is zero, all observations vanish")
-        weights = 0.5 - np.exp(-y_sq / scale)
+    weights = y_sq if kind == "quadratic" else 0.5 - np.exp(-y_sq / scale)
     return SpectrumOperator(meas=meas, weights=weights, weighting_kind=kind)
 
 

@@ -1,12 +1,14 @@
+import functools
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesp import spectrum
 from gesp.baselines import diag_two_step_init, esp_init, truncated_power_init
 from gesp.bench import build_trial_instance, load_config
-from gesp.measurement import measure, sample_sensing
+from gesp.measurement import MeasurementSet, measure, sample_sensing
 from gesp.numerics import magnitude_profile, relative_error
 from gesp.pursuit import PStrategy, gesp, residual_score, step4_estimate
 from gesp.signals import SignalModelSpec, SparseSignal, generate, sample_support
@@ -163,6 +165,79 @@ class TestTruncatedPower:
         op = spectrum.build(meas, "exponential")
         scores = [residual_score(meas, step4_estimate(op, np.array(c), meas.lambda_sq)) for c in cycle]
         assert est.residual_score == min(scores)
+
+    def test_three_cycle_stops_and_keeps_smaller_residual(self, monkeypatch):
+        # a stand-in Z v whose top-1 entry moves start -> a -> b -> c -> a:
+        # the iteration has to stop on the repeat of a, not run to the cap
+        _, meas = _instance(42)
+        op = spectrum.build(meas, "exponential")
+        start = int(diag_two_step_init(meas, 1).support[0])
+        others = [j for j in range(meas.n) if j != start][:3]
+        scores = {
+            j: residual_score(meas, step4_estimate(op, np.array([j]), meas.lambda_sq)) for j in others
+        }
+        worst, middle, best = sorted(others, key=scores.get, reverse=True)
+        a, b, c = worst, best, middle  # the best support is neither first nor last in the cycle
+        step = {start: a, a: b, b: c, c: a}
+        calls = []
+
+        def rotating_matvec(op, v):
+            calls.append(v)
+            w = np.full(meas.n, 0.1, dtype=complex)
+            w[step[int(np.flatnonzero(v)[0])]] = 1.0
+            return w
+
+        monkeypatch.setattr(spectrum, "matvec", rotating_matvec)
+        est = truncated_power_init(meas, 1, iters=50)
+        assert len(calls) <= 5
+        assert est.support.tolist() == [b]
+        assert est.residual_score == scores[b]
+
+
+def _initializers(k, profile):
+    """Every initializer as a function of (meas, k), keyed by name."""
+    strategies = (
+        PStrategy.fixed((k + 1) // 2), PStrategy.known_structure(), PStrategy.sqrt_k(),
+        PStrategy.full_k(), PStrategy.ensemble(),
+    )
+    inits = {f"gesp-{s.kind}": functools.partial(gesp, strategy=s, true_profile=profile) for s in strategies}
+    inits.update(esp=esp_init, diag_two_step=diag_two_step_init, truncated_power=truncated_power_init)
+    return inits
+
+
+@pytest.mark.parametrize("name", list(_initializers(4, None)))
+def test_all_zero_observations_raise(name):
+    # lambda_sq = 0: no estimate can have ||z||^2 = lambda_sq and k nonzeros
+    rng = np.random.default_rng(70)
+    meas = MeasurementSet(sensing=sample_sensing(20, 30, rng), y=np.zeros(30), lambda_sq=0.0)
+    init = _initializers(4, magnitude_profile(np.ones(4)))[name]
+    with pytest.raises(ValueError, match="lambda_sq is zero"):
+        init(meas, 4)
+
+
+EDGES = ("k=n", "k=1", "m<k", "m=1", "tied")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(edge=st.sampled_from(EDGES), n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_invariants_at_pipeline_edges(edge, n, seed):
+    # every estimate is finite, has exactly k nonzeros on its support and
+    # ||z||^2 = lambda_sq; "tied" uses all-ones sensing rows, so every
+    # diagonal entry of either spectrum is the same number
+    rng = np.random.default_rng(seed)
+    k = {"k=n": n, "k=1": 1, "m<k": n}.get(edge) or int(rng.integers(1, n + 1))
+    if edge == "m<k":
+        m = int(rng.integers(1, k))
+    else:
+        m = 1 if edge == "m=1" else int(rng.integers(1, 3 * n + 1))
+    sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
+    sensing = np.ones((m, n), dtype=complex) if edge == "tied" else sample_sensing(n, m, rng)
+    meas = measure(sig, sensing)
+    for name, init in _initializers(k, sig.profile).items():
+        est = init(meas, k)
+        assert np.all(np.isfinite(est.z)), name
+        assert np.flatnonzero(est.z).tolist() == sorted(est.support.tolist()), name
+        assert abs(np.vdot(est.z, est.z).real - meas.lambda_sq) <= 1e-9 * meas.lambda_sq, name
 
 
 class TestOrderingOnBinarySignals:

@@ -149,10 +149,27 @@ class TestStrategies:
         for seed in range(5):
             _, meas = _instance(seed + 40, n=16, k=5, m=64)
             ens = gesp(meas, 5, PStrategy.ensemble())
-            scores = [gesp(meas, 5, PStrategy.fixed(p)).residual_score for p in range(1, 6)]
+            runs = [gesp(meas, 5, PStrategy.fixed(p)) for p in range(1, 6)]
+            scores = [run.residual_score for run in runs]
             assert ens.residual_score == min(scores)
             # smallest p wins ties
             assert ens.p_used == 1 + scores.index(min(scores))
+            # the ensemble's estimate is the winning width's run, bit for bit
+            win = runs[ens.p_used - 1]
+            assert ens.z.tobytes() == win.z.tobytes()
+            assert ens.support.tolist() == win.support.tolist()
+            assert ens.s0.tolist() == win.s0.tolist()
+
+    def test_one_diagonal_per_call(self, monkeypatch):
+        # every width of one gesp call shares a single O(mn) diagonal
+        sig, meas = _instance(36, n=16, k=5, m=80)
+        diagonal, calls = spectrum.diagonal, []
+        monkeypatch.setattr(spectrum, "diagonal", lambda op: calls.append(op) or diagonal(op))
+        for strat in (PStrategy.fixed(2), PStrategy.known_structure(), PStrategy.sqrt_k(),
+                      PStrategy.full_k(), PStrategy.ensemble()):
+            calls.clear()
+            gesp(meas, 5, strat, true_profile=sig.profile)
+            assert len(calls) == 1, strat.kind
 
 
 class TestPipelineInvariants:
