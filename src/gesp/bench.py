@@ -94,6 +94,8 @@ class BenchConfig:
     record_runtime: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ConfigError(f"base_seed {self.base_seed} outside [0, 2^64)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.threads < 1:
@@ -149,28 +151,70 @@ class AggregateStats:
     count: int
 
 
-def _parse_algorithm(entry) -> AlgorithmSpec:
+_TOP_KEYS = (
+    "schema_version", "n", "k", "ratios", "trials", "base_seed", "signal",
+    "algorithms", "threads", "out_path", "record_runtime",
+)
+_SIGNAL_KEYS = ("model", "decay", "target_norm")
+# The keys an algorithm entry may carry: by strategy for gesp, else by name.
+_ENTRY_KEYS = {
+    "fixed": ("algorithm", "strategy", "p"),
+    "known_structure": ("algorithm", "strategy", "variant"),
+    "truncated_power": ("algorithm", "iters"),
+}
+
+
+def _check_keys(raw, allowed, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = [key for key in raw if key not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(map(repr, unknown))} in {where}; expected one of {', '.join(allowed)}"
+        )
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer: a bool or a non-integral number is not one."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
     if not isinstance(entry, dict) or "algorithm" not in entry:
-        raise ConfigError(f"algorithm entry must be an object with an 'algorithm' key: {entry!r}")
+        raise ConfigError(f"{where} must be an object with an 'algorithm' key: {entry!r}")
     name = entry["algorithm"]
+    if name != "gesp" and name not in BASELINE_KINDS:
+        raise ConfigError(f"unknown algorithm {name!r} in {where}")
     if name == "gesp":
         kind = entry.get("strategy")
         if kind is None:
-            raise ConfigError("gesp algorithm entry needs a 'strategy' key")
+            raise ConfigError(f"gesp algorithm entry {where} needs a 'strategy' key")
+        _check_keys(entry, _ENTRY_KEYS.get(kind, ("algorithm", "strategy")), f"{where} (gesp {kind})")
+        p = _int(entry["p"], f"{where}.p") if "p" in entry else None
         try:
             if kind == "fixed":
-                strategy = PStrategy.fixed(int(entry["p"]))
+                strategy = PStrategy.fixed(p)
             elif kind == "known_structure":
                 strategy = PStrategy.known_structure(entry.get("variant", "global"))
             else:
                 strategy = PStrategy(kind=kind)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad gesp strategy entry {entry!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad gesp strategy entry {where} {entry!r}: {exc}") from exc
         return AlgorithmSpec(name="gesp", strategy=strategy)
+    _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
     if name == "truncated_power":
-        iters = int(entry.get("iters", 50))
+        iters = _int(entry.get("iters", 50), f"{where}.iters")
         if iters < 1:
-            raise ConfigError("truncated_power iters must be >= 1")
+            raise ConfigError(f"truncated_power iters must be >= 1 in {where}")
         return AlgorithmSpec(name=name, tpm_iters=iters)
     return AlgorithmSpec(name=name)
 
@@ -188,35 +232,47 @@ def load_config(path) -> BenchConfig:
 
 
 def config_from_dict(raw: dict) -> BenchConfig:
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {raw.get('schema_version')!r}; expected {SCHEMA_VERSION}"
-        )
+    """Validate a parsed config.  Every key must be known where it sits (the
+    top level, `signal`, `algorithms[i]`); integers must be integral and not
+    bools, `record_runtime` a bool, and `base_seed` in [0, 2^64).  Each
+    error names the offending key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    version = raw.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    _check_keys(raw, _TOP_KEYS, "the top level")
     try:
-        n = int(raw["n"])
-        k = int(raw["k"])
+        n = _int(raw["n"], "n")
+        k = _int(raw["k"], "k")
         sig_raw = raw["signal"]
+        _check_keys(sig_raw, _SIGNAL_KEYS, "signal")
         signal = SignalModelSpec(
             model=sig_raw["model"],
             n=n,
             k=k,
-            decay=float(sig_raw.get("decay", 0.7)),
-            target_norm=float(sig_raw.get("target_norm", 1.0)),
+            decay=_float(sig_raw.get("decay", 0.7), "signal.decay"),
+            target_norm=_float(sig_raw.get("target_norm", 1.0), "signal.target_norm"),
         )
+        record_runtime = raw.get("record_runtime", False)
+        if not isinstance(record_runtime, bool):
+            raise ConfigError(f"record_runtime must be true or false, got {record_runtime!r}")
         return BenchConfig(
             n=n,
             k=k,
-            ratios=tuple(float(r) for r in raw["ratios"]),
-            trials=int(raw["trials"]),
-            base_seed=int(raw["base_seed"]) & _MASK64,
+            ratios=tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(raw["ratios"])),
+            trials=_int(raw["trials"], "trials"),
+            base_seed=_int(raw["base_seed"], "base_seed"),
             signal=signal,
-            algorithms=tuple(_parse_algorithm(a) for a in raw["algorithms"]),
-            threads=int(raw.get("threads", 1)),
+            algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(raw["algorithms"])),
+            threads=_int(raw.get("threads", 1), "threads"),
             out_path=str(raw.get("out_path", "results.csv")),
-            record_runtime=bool(raw.get("record_runtime", False)),
+            record_runtime=record_runtime,
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from exc
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

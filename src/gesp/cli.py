@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 
 import numpy as np
@@ -24,6 +25,9 @@ from .measurement import measure, sample_sensing
 from .numerics import dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
+
+# Thread-count variables that OpenBLAS, OpenMP and MKL read when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -44,7 +48,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run a Monte Carlo sweep")
     p_run.add_argument("--config", required=True, help="path to the JSON benchmark config")
     p_run.add_argument("--out", help="records CSV path (overrides the config's out_path)")
-    p_run.add_argument("--seed", type=int, help="base seed override (64-bit unsigned)")
+    p_run.add_argument("--seed", type=int, help="base seed override, in [0, 2^64)")
     p_run.add_argument("--threads", type=int, help="worker thread override")
     p_run.add_argument("--plot-out", help="also write aggregated plot data to this path")
     p_run.set_defaults(func=_cmd_run)
@@ -75,7 +79,7 @@ def _apply_overrides(config: BenchConfig, args) -> BenchConfig:
     if getattr(args, "out", None):
         updates["out_path"] = args.out
     if getattr(args, "seed", None) is not None:
-        updates["base_seed"] = args.seed & ((1 << 64) - 1)
+        updates["base_seed"] = args.seed  # BenchConfig rejects a seed outside [0, 2^64)
     if getattr(args, "threads", None) is not None:
         updates["threads"] = args.threads
     if not updates:
@@ -87,6 +91,11 @@ def _apply_overrides(config: BenchConfig, args) -> BenchConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    if config.threads > 1 and not any(os.environ.get(var) for var in BLAS_THREAD_VARS):
+        print(f"warning: threads={config.threads} but none of {', '.join(BLAS_THREAD_VARS)} is set, so each "
+              "worker's BLAS calls may start threads of their own; the README's 'Performance' section "
+              "measured such a sweep at several times the run time with OPENBLAS_NUM_THREADS=1",
+              file=sys.stderr)
     records = bench.run_sweep(config)
     bench.write_csv(records, config.out_path)
     print(f"wrote {len(records)} records to {config.out_path}")

@@ -1,16 +1,17 @@
 """Complex Gaussian sensing ensembles and phaseless observations.
 
 A MeasurementSet bundles the m sensing rows a_i, the moduli y_i = |a_i* x|,
-and the energy estimate lambda_sq = mean(y^2).  Sets are immutable after
-construction and safe to share across threads.  An optional little-endian
-binary dump/load exists for reproducibility debugging.
+the energy estimate lambda_sq = mean(y^2), and the entrywise |a_ij|^2 that
+every spectrum diagonal reads.  Sets are immutable after construction and
+safe to share across threads.  An optional little-endian binary dump/load
+exists for reproducibility debugging.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +25,7 @@ class MeasurementSet:
     sensing: np.ndarray  # m x n complex, row i = a_i
     y: np.ndarray        # m non-negative moduli |a_i* x|
     lambda_sq: float     # mean of y^2
+    abs_sq: np.ndarray = field(init=False, repr=False, compare=False)  # m x n |a_ij|^2
 
     def __post_init__(self):
         if self.sensing.ndim != 2:
@@ -38,6 +40,7 @@ class MeasurementSet:
             raise ValueError("y has negative entries; moduli must be non-negative")
         if not (math.isfinite(self.lambda_sq) and self.lambda_sq >= 0):
             raise ValueError(f"lambda_sq must be finite and non-negative, got {self.lambda_sq}")
+        object.__setattr__(self, "abs_sq", self.sensing.real**2 + self.sensing.imag**2)
 
     @property
     def m(self) -> int:
@@ -50,10 +53,13 @@ class MeasurementSet:
 
 def sample_sensing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m x n i.i.d. standard complex Gaussian rows: real and imaginary
-    parts independent N(0, 1/2), so E|a_ij|^2 = 1."""
+    parts independent N(0, 1/2), drawn in that order, so E|a_ij|^2 = 1."""
     if n < 1 or m < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    return math.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    sensing = np.empty((m, n), dtype=complex)
+    for part in (sensing.real, sensing.imag):
+        np.multiply(rng.standard_normal((m, n)), math.sqrt(0.5), out=part)
+    return sensing
 
 
 def measure(x: SparseSignal, sensing: np.ndarray) -> MeasurementSet:

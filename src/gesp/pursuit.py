@@ -10,9 +10,10 @@ Given phaseless measurements of a k-sparse signal, the pipeline
 
 Every strategy resolves to a range of widths: fixed, known_structure
 (derived from the true energy profile, an oracle regime), sqrt_k and full_k
-give one width, ensemble gives all of [k].  gesp builds the spectrum and
-its diagonal once, runs steps 2-4 at each width, and keeps the estimate
-most consistent with the measurements.  The baselines finish their own
+give one width, ensemble gives all of [k].  gesp scans the range once over
+one spectrum and diagonal: steps 1-2 per width, step 3 for all widths as one
+block product, step 4 once per distinct S1, and keeps the estimate most
+consistent with the measurements.  The baselines finish their own
 supports with the same step 4 and residual_score.
 """
 
@@ -95,8 +96,10 @@ def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
 
 
 def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
-    """Indices of the k largest-modulus entries of Z e0."""
-    return top_k_indices(np.abs(spectrum.matvec(op, e0)), k)
+    """Indices of the k largest-modulus entries of Z e0.  An n x c block e0
+    takes one product, and row j of the c x k result is column j's S1."""
+    moduli = np.abs(spectrum.matvec(op, e0))
+    return top_k_indices(moduli, k) if moduli.ndim == 1 else np.array([top_k_indices(c, k) for c in moduli.T])
 
 
 def step4_estimate(op: spectrum.SpectrumOperator, s1, lambda_sq: float) -> np.ndarray:
@@ -126,12 +129,6 @@ def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
     return InitEstimate(z=z, support=s1, p_used=p_used, s0=s0, residual_score=residual_score(op.meas, z))
 
 
-def _run_with_p(op, diag, k, p):
-    s0 = step1_select_s0(diag, p)
-    e0 = step2_direction(op, s0)
-    return _finish(op, step3_select_s1(op, e0, k), p, s0)
-
-
 def gesp(
     meas: MeasurementSet,
     k: int,
@@ -143,9 +140,11 @@ def gesp(
 
     ensemble allows every p in [k], each other strategy one p.  The
     exponential spectrum and its diagonal are computed once and shared by
-    all widths.  known_structure needs the true signal's MagnitudeProfile
-    (an oracle input: it reproduces the regime where the energy structure
-    is known).
+    all widths, and step 3 is one block product over them.  Step 4 and the
+    residual depend on S1 alone, so each distinct S1 is finished once, at
+    the smallest width that selects it.  known_structure needs the true
+    signal's MagnitudeProfile (an oracle input: it reproduces the regime
+    where the energy structure is known).
     """
     if not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
@@ -164,4 +163,10 @@ def gesp(
     widths = range(1 if strategy.kind == "ensemble" else p, p + 1)
     op = spectrum.build(meas, "exponential")
     diag = spectrum.diagonal(op)
-    return min((_run_with_p(op, diag, k, w) for w in widths), key=lambda est: est.residual_score)
+    s0s = [step1_select_s0(diag, w) for w in widths]
+    s1s = step3_select_s1(op, np.column_stack([step2_direction(op, s0) for s0 in s0s]), k)
+    finished = {}  # S1 bytes -> its estimate at the smallest width selecting it
+    for w, s0, s1 in zip(widths, s0s, s1s):
+        if s1.tobytes() not in finished:
+            finished[s1.tobytes()] = _finish(op, s1, w, s0)
+    return min(finished.values(), key=lambda est: est.residual_score)

@@ -6,11 +6,12 @@ Two weightings are supported:
   quadratic    w_i = y_i^2                            (prior two-step spectrum)
 
 Z is never materialized as an n x n array on the algorithm path; the solver
-needs only its diagonal, small principal submatrices, and one matvec.  Each
-reduction is a single BLAS product: results are bit-identical across runs
-and thread counts on one numpy/BLAS build, but the summation order (and so
-the last bit) depends on the build, its CPU kernel and the operands' memory
-layout.
+needs only its diagonal (from the set's |a_ij|^2, computed once per set),
+small principal submatrices, and products with sparse vectors or blocks of
+them.  Each reduction is a single BLAS product: results are bit-identical
+across runs and thread counts on one numpy/BLAS build, but the summation
+order (and so the last bit) depends on the build, its CPU kernel and the
+operands' memory layout.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ def build(meas: MeasurementSet, kind: str = "exponential", *, norm_sq: float | N
 
 def diagonal(op: SpectrumOperator) -> np.ndarray:
     """Diagonal of Z: entry j = (1/m) sum_i w_i |a_ij|^2.  Cost O(mn)."""
-    a = op.meas.sensing
-    return (op.weights @ (a.real**2 + a.imag**2)) / op.meas.m
+    return (op.weights @ op.meas.abs_sq) / op.meas.m
 
 
 def submatrix(op: SpectrumOperator, indices) -> np.ndarray:
@@ -79,16 +79,18 @@ def matvec(op: SpectrumOperator, v) -> np.ndarray:
 
     Cost O(m (||v||_0 + n)): the inner products touch only the nonzero
     coordinates of v, the rank-one accumulation is a dense m x n product.
+    An n x c block v costs one such pass, as two GEMMs, for all c columns.
     """
     v = np.asarray(v, dtype=complex)
     a = op.meas.sensing
-    if v.shape != (op.meas.n,):
-        raise ValueError(f"vector length {v.size} does not match n={op.meas.n}")
-    nz = np.flatnonzero(v)
+    if v.ndim not in (1, 2) or v.shape[0] != op.meas.n:
+        raise ValueError(f"expected a length-{op.meas.n} vector or n x c block, got shape {v.shape}")
+    nz = np.flatnonzero(v.reshape(op.meas.n, -1).any(axis=1))
     if nz.size == 0:
-        return np.zeros(op.meas.n, dtype=complex)
+        return np.zeros(v.shape, dtype=complex)
     coeffs = a[:, nz].conj() @ v[nz]
-    return a.T @ (op.weights * coeffs) / op.meas.m
+    weights = op.weights if v.ndim == 1 else op.weights[:, None]
+    return a.T @ (weights * coeffs) / op.meas.m
 
 
 def expectation_oracle(x: SparseSignal) -> np.ndarray:

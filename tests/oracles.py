@@ -4,7 +4,10 @@ Everything here is written from the defining formulas, on purpose sharing
 no code with the package: a cyclic Jacobi eigensolver for Hermitian
 matrices, an explicitly materialized dense spectrum, a dense four-step
 pursuit, a phase-grid distance minimizer, a sort-based top-k, and a
-streaming (Welford) mean/variance.
+streaming (Welford) mean/variance.  The one exception is
+per_width_pursuit, the reference for gesp's width scan: the loop the scan
+replaced, written with the package's own steps, one vector product and one
+finish per width.
 """
 
 import numpy as np
@@ -108,6 +111,24 @@ def dense_pursuit(sensing, y, k, p):
     z = np.zeros(n, dtype=complex)
     z[s1] = z_local * np.sqrt(np.mean(np.asarray(y) ** 2))
     return s0, e0, s1, z
+
+
+def per_width_pursuit(meas, k, widths):
+    """gesp as a loop over the widths: steps 1-3 with one matvec per width,
+    step 4 and the residual at every width, and the smallest residual kept,
+    the smallest width on ties."""
+    from gesp import spectrum
+    from gesp.pursuit import _finish, step1_select_s0, step2_direction, step3_select_s1
+
+    op = spectrum.build(meas, "exponential")
+    diag = spectrum.diagonal(op)
+
+    def run_with_p(p):
+        s0 = step1_select_s0(diag, p)
+        e0 = step2_direction(op, s0)
+        return _finish(op, step3_select_s1(op, e0, k), p, s0)
+
+    return min((run_with_p(p) for p in widths), key=lambda est: est.residual_score)
 
 
 def phase_aligned_gap(u, v):

@@ -108,6 +108,104 @@ class TestConfig:
             })
 
 
+def _raw_config(**overrides) -> dict:
+    raw = {
+        "schema_version": 1, "n": 8, "k": 2, "ratios": [1.0], "trials": 1,
+        "base_seed": 0, "signal": {"model": "gaussian"},
+        "algorithms": [
+            {"algorithm": "gesp", "strategy": "fixed", "p": 1},
+            {"algorithm": "esp"},
+            {"algorithm": "truncated_power", "iters": 5},
+        ],
+    }
+    raw.update(overrides)
+    return raw
+
+
+def _algorithms(index, **entry):
+    algorithms = _raw_config()["algorithms"]
+    algorithms[index] = {**algorithms[index], **entry}
+    return algorithms
+
+
+class TestStrictConfig:
+    def test_reference_config_loads(self):
+        config = config_from_dict(_raw_config())
+        assert config.algorithms[0].strategy.p_value == 1 and config.algorithms[2].tpm_iters == 5
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_every_shipped_config_loads(self, path):
+        assert load_config(path).trials >= 1
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_record_runtime_must_be_a_bool(self, value):
+        # "false" used to load as True and fill runtime_ms
+        with pytest.raises(ConfigError, match="record_runtime"):
+            config_from_dict(_raw_config(record_runtime=value))
+
+    @pytest.mark.parametrize("key", ["n", "k", "trials", "threads"])
+    def test_non_integral_top_level_int_rejected(self, key):
+        # 20.7 used to load as 20
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got 2.7"):
+            config_from_dict(_raw_config(**{key: 2.7}))
+
+    def test_non_integral_p_rejected(self):
+        with pytest.raises(ConfigError, match=r"algorithms\[0\]\.p"):
+            config_from_dict(_raw_config(algorithms=_algorithms(0, p=1.5)))
+
+    def test_non_integral_iters_rejected(self):
+        with pytest.raises(ConfigError, match=r"algorithms\[2\]\.iters"):
+            config_from_dict(_raw_config(algorithms=_algorithms(2, iters=4.5)))
+
+    @pytest.mark.parametrize("key", ["n", "k", "trials", "threads", "base_seed"])
+    def test_bool_is_not_an_int(self, key):
+        # "threads": true used to load as 1
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got True"):
+            config_from_dict(_raw_config(**{key: True}))
+
+    def test_bool_p_and_iters_rejected(self):
+        with pytest.raises(ConfigError, match=r"algorithms\[0\]\.p"):
+            config_from_dict(_raw_config(algorithms=_algorithms(0, p=True)))
+        with pytest.raises(ConfigError, match=r"algorithms\[2\]\.iters"):
+            config_from_dict(_raw_config(algorithms=_algorithms(2, iters=True)))
+
+    def test_integral_float_is_an_int(self):
+        config = config_from_dict(_raw_config(n=8.0, trials=2.0))
+        assert config.n == 8 and isinstance(config.n, int) and config.trials == 2
+
+    def test_unknown_top_level_key(self):
+        with pytest.raises(ConfigError, match="'trails' in the top level"):
+            config_from_dict(_raw_config(trails=5))
+
+    def test_unknown_signal_key(self):
+        # a misspelt decay used to fall back to 0.7 silently
+        with pytest.raises(ConfigError, match="'decya' in signal"):
+            config_from_dict(_raw_config(signal={"model": "exp_decay", "decya": 0.5}))
+
+    def test_unknown_truncated_power_key(self):
+        # "iter" used to run the default 50 iterations silently
+        with pytest.raises(ConfigError, match=r"'iter' in algorithms\[2\] \(truncated_power\)"):
+            config_from_dict(_raw_config(algorithms=_algorithms(2, iter=5)))
+
+    def test_unknown_esp_key(self):
+        with pytest.raises(ConfigError, match=r"'p' in algorithms\[1\] \(esp\)"):
+            config_from_dict(_raw_config(algorithms=_algorithms(1, p=2)))
+
+    def test_key_of_another_strategy_rejected(self):
+        with pytest.raises(ConfigError, match=r"'p' in algorithms\[0\] \(gesp sqrt_k\)"):
+            config_from_dict(_raw_config(algorithms=_algorithms(0, strategy="sqrt_k")))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits(self, seed):
+        # -1 used to wrap to 2^64 - 1
+        with pytest.raises(ConfigError, match="base_seed"):
+            config_from_dict(_raw_config(base_seed=seed))
+
+    def test_base_seed_edges_accepted(self):
+        assert config_from_dict(_raw_config(base_seed=2**64 - 1)).base_seed == 2**64 - 1
+        assert config_from_dict(_raw_config(base_seed=0)).base_seed == 0
+
+
 class TestRunSweep:
     def test_record_cardinality(self):
         records = run_sweep(_mini_config())

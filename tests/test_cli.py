@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from gesp.cli import cli_main
+from gesp.cli import BLAS_THREAD_VARS, cli_main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -40,6 +40,34 @@ class TestRun:
         plot = tmp_path / "plot.dat"
         assert cli_main(["run", "--config", str(config), "--out", str(out), "--plot-out", str(plot)]) == 0
         assert out.exists() and plot.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, seed):
+        # --seed -1 used to wrap to 2^64 - 1
+        config = _small_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--seed", seed]) == 1
+        assert "base_seed" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unpinned_blas_threads_warn_once(self, tmp_path, capsys, monkeypatch):
+        config = _small_config(tmp_path)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "a.csv"), "--threads", "1"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "b.csv"), "--threads", "2"]) == 0
+        warned = capsys.readouterr()
+        assert warned.err.count("warning:") == 1 and "README" in warned.err
+        assert "OPENBLAS_NUM_THREADS" in warned.err
+        # stdout and the CSV bytes are unchanged by the warning
+        assert warned.out == quiet.out.replace("a.csv", "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+            assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "c.csv"), "--threads", "2"]) == 0
+            assert capsys.readouterr().err == "", var
+            monkeypatch.delenv(var)
 
     def test_seed_override_changes_results(self, tmp_path):
         config = _small_config(tmp_path)

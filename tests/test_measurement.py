@@ -32,6 +32,15 @@ class TestSampleSensing:
         with pytest.raises(ValueError):
             sample_sensing(4, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (200, 37), (64, 256)])
+    def test_same_draws_as_scaled_complex_sum(self, n, m):
+        # the in-place draws equal sqrt(1/2) (A + iB) on the same stream, bit for bit
+        a = sample_sensing(n, m, np.random.default_rng(102))
+        rng = np.random.default_rng(102)
+        b = np.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        assert a.dtype == complex and a.shape == (m, n)
+        assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
 
 class TestMeasure:
     def test_unit_signal_single_row(self):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gesp import spectrum
+from gesp import pursuit, spectrum
 from gesp.measurement import MeasurementSet, measure, sample_sensing
-from gesp.numerics import relative_error
+from gesp.numerics import p_opt, relative_error
 from gesp.pursuit import (
     PStrategy,
     gesp,
@@ -15,7 +18,14 @@ from gesp.pursuit import (
 )
 from gesp.signals import SignalModelSpec, generate
 
-from oracles import dense_expo_weights, dense_spectrum, jacobi_max_eigvec, phase_aligned_gap, topk_sorted
+from oracles import (
+    dense_expo_weights,
+    dense_spectrum,
+    jacobi_max_eigvec,
+    per_width_pursuit,
+    phase_aligned_gap,
+    topk_sorted,
+)
 
 
 def _instance(seed, n=8, k=3, m=50, model="gaussian"):
@@ -170,6 +180,70 @@ class TestStrategies:
             calls.clear()
             gesp(meas, 5, strat, true_profile=sig.profile)
             assert len(calls) == 1, strat.kind
+
+
+    def test_step3_block_rows_are_per_column_supports(self):
+        _, meas = _instance(37, n=16, k=5, m=80)
+        op = spectrum.build(meas, "exponential")
+        diag = spectrum.diagonal(op)
+        block = np.column_stack([step2_direction(op, step1_select_s0(diag, p)) for p in range(1, 6)])
+        rows = step3_select_s1(op, block, 5)
+        assert rows.shape == (5, 5)
+        for j in range(5):
+            assert rows[j].tolist() == step3_select_s1(op, block[:, j], 5).tolist()
+
+    def test_each_distinct_s1_finished_once(self, monkeypatch):
+        # step 4 and the residual depend on S1 alone: widths that select the
+        # same S1 share one finish
+        _, meas = _instance(38, n=16, k=5, m=80)
+        est = gesp(meas, 5, PStrategy.ensemble())
+        op = spectrum.build(meas, "exponential")
+        diag = spectrum.diagonal(op)
+        supports = {
+            step3_select_s1(op, step2_direction(op, step1_select_s0(diag, p)), 5).tobytes() for p in range(1, 6)
+        }
+        finished = []
+        step4 = pursuit.step4_estimate
+        monkeypatch.setattr(
+            pursuit, "step4_estimate", lambda op, s1, lam: finished.append(s1.tobytes()) or step4(op, s1, lam)
+        )
+        assert gesp(meas, 5, PStrategy.ensemble()).z.tobytes() == est.z.tobytes()
+        assert sorted(finished) == sorted(supports) and len(supports) < 5
+
+
+def _widths(strategy, k, profile):
+    """The widths gesp scans for a strategy."""
+    if strategy.kind == "ensemble":
+        return range(1, k + 1)
+    return [{
+        "fixed": strategy.p_value,
+        "known_structure": p_opt(profile, k, strategy.variant),
+        "sqrt_k": math.isqrt(k - 1) + 1,
+        "full_k": k,
+    }[strategy.kind]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edge=st.sampled_from(("random", "k=n", "tied")), n=st.integers(2, 14), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_per_width_loop(edge, n, seed):
+    # the one scan (block step 3, each distinct S1 finished once) returns,
+    # bit for bit, what the per-width loop returns, for every strategy;
+    # "tied" uses all-ones sensing rows, so every diagonal entry is equal
+    rng = np.random.default_rng(seed)
+    k = n if edge == "k=n" else int(rng.integers(1, n + 1))
+    m = int(rng.integers(1, 4 * n + 1))
+    sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
+    sensing = np.ones((m, n), dtype=complex) if edge == "tied" else sample_sensing(n, m, rng)
+    meas = measure(sig, sensing)
+    for strat in (PStrategy.fixed((k + 1) // 2), PStrategy.known_structure(), PStrategy.known_structure("capped"),
+                  PStrategy.sqrt_k(), PStrategy.full_k(), PStrategy.ensemble()):
+        got = gesp(meas, k, strat, true_profile=sig.profile)
+        want = per_width_pursuit(meas, k, _widths(strat, k, sig.profile))
+        assert got.z.tobytes() == want.z.tobytes(), strat
+        assert got.support.tolist() == want.support.tolist(), strat
+        assert got.p_used == want.p_used, strat
+        assert got.s0.tolist() == want.s0.tolist(), strat
+        assert got.residual_score == want.residual_score, strat
 
 
 class TestPipelineInvariants:

@@ -135,6 +135,32 @@ class TestOperatorProperties:
             assert matvec(op, e)[j].real == pytest.approx(d[j], abs=1e-12)
             assert submatrix(op, [j])[0, 0].real == pytest.approx(d[j], abs=1e-12)
 
+    def test_block_matvec_matches_columns(self):
+        # an n x c block is one product; each column agrees with its own matvec
+        rng = np.random.default_rng(25)
+        for seed in range(5):
+            _, meas = _instance(seed, n=40, k=5, m=120)
+            op = build(meas, "exponential")
+            block = np.zeros((40, 6), dtype=complex)
+            for j in range(6):  # nested supports, as in the pursuit's width scan
+                block[: j + 1, j] = rng.standard_normal(j + 1) + 1j * rng.standard_normal(j + 1)
+            cols = np.column_stack([matvec(op, block[:, j]) for j in range(6)])
+            assert matvec(op, block).shape == (40, 6)
+            assert np.max(np.abs(matvec(op, block) - cols)) <= 1e-12
+
+    def test_block_matvec_zero_block(self):
+        _, meas = _instance(26)
+        op = build(meas, "exponential")
+        assert np.array_equal(matvec(op, np.zeros((8, 3), complex)), np.zeros((8, 3), complex))
+
+    def test_diagonal_reuses_the_sets_abs_sq(self, monkeypatch):
+        # |a_ij|^2 is computed once per MeasurementSet; the diagonal reads it
+        _, meas = _instance(27)
+        assert np.array_equal(meas.abs_sq, meas.sensing.real**2 + meas.sensing.imag**2)
+        expected = diagonal(build(meas, "quadratic"))
+        object.__setattr__(meas, "abs_sq", 2.0 * meas.abs_sq)
+        assert np.array_equal(diagonal(build(meas, "quadratic")), 2.0 * expected)
+
     def test_matvec_zero_vector(self):
         _, meas = _instance(22)
         op = build(meas, "exponential")
@@ -145,6 +171,10 @@ class TestOperatorProperties:
         op = build(meas, "exponential")
         with pytest.raises(ValueError):
             matvec(op, np.zeros(5, complex))
+        with pytest.raises(ValueError):
+            matvec(op, np.zeros((5, 2), complex))
+        with pytest.raises(ValueError):
+            matvec(op, np.zeros((8, 2, 1), complex))
 
     def test_empty_submatrix_rejected(self):
         _, meas = _instance(24)
