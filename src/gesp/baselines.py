@@ -5,9 +5,10 @@ diag_two_step  support from the top-k diagonal of the quadratic spectrum,
                finished with the pursuit's step 4 on that spectrum
 truncated_power  the truncated power method of Yuan & Zhang (JMLR 2013):
                power iterations on the exponential spectrum with hard top-k
-               truncation, warm-started from diag_two_step, run until the
-               support repeats, then finished with the pursuit's step 4 on
-               the supports of the cycle it entered
+               truncation, started from the pursuit's steps 1-2 (p = k) on
+               the quadratic spectrum, run until the support repeats, then
+               finished with the pursuit's step 4 on the supports of the
+               cycle it entered
 
 All three return the same InitEstimate type as the pursuit, with
 ||z||^2 = lambda_sq and a k-sparse estimate.
@@ -20,7 +21,7 @@ import numpy as np
 from . import spectrum
 from .measurement import MeasurementSet
 from .numerics import top_k_indices
-from .pursuit import InitEstimate, PStrategy, _finish, gesp
+from .pursuit import InitEstimate, PStrategy, _finish, gesp, step2_direction
 
 BASELINE_KINDS = ("esp", "diag_two_step", "truncated_power")
 
@@ -45,7 +46,7 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitE
     """Truncated power method (Yuan & Zhang, "Truncated power method for
     sparse eigenvalue problems", JMLR 14, 2013) on the exponential spectrum.
 
-    Starts from the diag_two_step direction and repeats
+    Starts from the pursuit's steps 1-2 (p = k) on the quadratic spectrum and repeats
     v <- normalize(truncate_top_k(Z v)), stopping as soon as a support
     repeats.  The supports from its first occurrence up to now are the
     cycle the iteration entered (one support at a fixed point, two on a
@@ -65,10 +66,11 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitE
     """
     if iters < 0:
         raise ValueError("iters must be non-negative")
-    start = diag_two_step_init(meas, k)
+    quad = spectrum.build(meas, "quadratic")
+    s0 = top_k_indices(spectrum.diagonal(quad), k)
     op = spectrum.build(meas, "exponential")
-    v = start.z / np.linalg.norm(start.z)
-    path, cycle = [start.support], None  # the supports visited, in order
+    v = step2_direction(quad, s0)
+    path, cycle = [s0], None  # the supports visited, in order
     for _ in range(iters):
         w = spectrum.matvec(op, v)
         keep = top_k_indices(np.abs(w), k)
@@ -83,4 +85,4 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitE
         v = np.zeros(meas.n, dtype=complex)
         v[keep] = w[keep] / norm
     candidates = cycle or path[-1:]
-    return min((_finish(op, s, k, start.s0) for s in candidates), key=lambda est: est.residual_score)
+    return min((_finish(op, s, k, s0) for s in candidates), key=lambda est: est.residual_score)

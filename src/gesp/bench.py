@@ -3,10 +3,10 @@
 A sweep walks a grid of sampling ratios; every trial derives its own RNG
 stream from (base_seed, ratio_index, trial_index) via splitmix64, generates
 one signal and one measurement set, and feeds the *same* measurements to
-every configured algorithm (paired comparison).  Records are sorted by
-(ratio_index, trial_index, algorithm order) before writing, so on one
-numpy/BLAS build the output is byte-identical regardless of thread count
-(float columns can differ in the last bit between builds; see spectrum).
+every configured algorithm (paired comparison).  Records come out in
+(ratio_index, trial_index, algorithm order), so on one numpy/BLAS build
+the output is byte-identical regardless of thread count (float columns
+can differ in the last bit between builds; see spectrum).
 
 Wall-clock timing is off by default for exactly that reason; set
 record_runtime in the config to populate the runtime_ms column (which then
@@ -19,7 +19,9 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
+from itertools import product
 from statistics import median
 
 import numpy as np
@@ -31,12 +33,6 @@ from .pursuit import InitEstimate, PStrategy, gesp
 from .signals import SignalModelSpec, SparseSignal, generate
 
 SCHEMA_VERSION = 1
-
-CSV_COLUMNS = (
-    "signal_model", "algorithm", "strategy", "n", "k", "m", "ratio",
-    "trial_index", "seed", "p_used", "relative_error", "raw_error",
-    "support_fraction", "runtime_ms", "error_flag",
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,6 +70,8 @@ class AlgorithmSpec:
                 raise ConfigError("gesp algorithm entry needs a strategy")
         elif self.name not in BASELINE_KINDS:
             raise ConfigError(f"unknown algorithm {self.name!r}")
+        if self.tpm_iters < 1:
+            raise ConfigError(f"truncated_power iters must be >= 1, got {self.tpm_iters}")
 
     @property
     def strategy_label(self) -> str:
@@ -140,6 +138,9 @@ class TrialRecord:
     error_flag: int
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(TrialRecord))  # declaration order
+
+
 @dataclass(frozen=True)
 class AggregateStats:
     mean_rel_err: float
@@ -191,32 +192,19 @@ def _float(value, where: str) -> float:
 def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
     if not isinstance(entry, dict) or "algorithm" not in entry:
         raise ConfigError(f"{where} must be an object with an 'algorithm' key: {entry!r}")
-    name = entry["algorithm"]
+    name, kind = entry["algorithm"], entry.get("strategy")
     if name != "gesp" and name not in BASELINE_KINDS:
         raise ConfigError(f"unknown algorithm {name!r} in {where}")
     if name == "gesp":
-        kind = entry.get("strategy")
-        if kind is None:
-            raise ConfigError(f"gesp algorithm entry {where} needs a 'strategy' key")
         _check_keys(entry, _ENTRY_KEYS.get(kind, ("algorithm", "strategy")), f"{where} (gesp {kind})")
+    else:
+        _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
+    try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
-        try:
-            if kind == "fixed":
-                strategy = PStrategy.fixed(p)
-            elif kind == "known_structure":
-                strategy = PStrategy.known_structure(entry.get("variant", "global"))
-            else:
-                strategy = PStrategy(kind=kind)
-        except ValueError as exc:
-            raise ConfigError(f"bad gesp strategy entry {where} {entry!r}: {exc}") from exc
-        return AlgorithmSpec(name="gesp", strategy=strategy)
-    _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
-    if name == "truncated_power":
-        iters = _int(entry.get("iters", 50), f"{where}.iters")
-        if iters < 1:
-            raise ConfigError(f"truncated_power iters must be >= 1 in {where}")
-        return AlgorithmSpec(name=name, tpm_iters=iters)
-    return AlgorithmSpec(name=name)
+        strategy = PStrategy(kind, p, entry.get("variant", "global")) if name == "gesp" else None
+        return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=_int(entry.get("iters", 50), f"{where}.iters"))
+    except ValueError as exc:  # ConfigError is one too
+        raise ConfigError(f"bad algorithm entry {where} {entry!r}: {exc}") from exc
 
 
 def load_config(path) -> BenchConfig:
@@ -341,22 +329,17 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
 
 
 def run_sweep(config: BenchConfig) -> list[TrialRecord]:
-    """All (ratio, trial, algorithm) records in deterministic order."""
-    tasks = [
-        (ri, ti)
-        for ri in range(len(config.resolved_ratios()))
-        for ti in range(config.trials)
-    ]
-    if config.threads == 1:
-        chunks = {task: _run_trial(config, *task) for task in tasks}
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = {task: pool.submit(_run_trial, config, *task) for task in tasks}
-            chunks = {task: fut.result() for task, fut in futures.items()}
-    records = []
-    for task in tasks:  # (ratio_index, trial_index) order; algorithms in config order
-        records.extend(chunks[task])
-    return records
+    """All (ratio, trial, algorithm) records in deterministic order.
+
+    The (ratio_index, trial_index) tasks go through one `map` that yields in
+    task order: the builtin on the caller's thread when `threads` is 1, else
+    a thread pool's, which cancels the queued trials when one raises or the
+    sweep is interrupted, so the sweep stops at once.
+    """
+    tasks = product(range(len(config.resolved_ratios())), range(config.trials))
+    with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
+        chunks = (pool.map if pool else map)(lambda task: _run_trial(config, *task), tasks)
+        return [record for chunk in chunks for record in chunk]  # algorithms in config order
 
 
 def aggregate(records) -> dict[tuple[str, str, float], AggregateStats]:
@@ -393,20 +376,15 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(records, path) -> None:
-    """Records CSV with a fixed column order, 17-significant-digit floats,
-    and LF newlines."""
+    """Records CSV with one column per TrialRecord field, 17-significant-digit
+    floats, and LF newlines."""
+    # the annotations are strings (postponed evaluation), so "float" marks a float field
+    formats = [(field.name, _fmt if field.type == "float" else str) for field in fields(TrialRecord)]
     try:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                f.write(",".join((
-                    rec.signal_model, rec.algorithm, rec.strategy,
-                    str(rec.n), str(rec.k), str(rec.m), _fmt(rec.ratio),
-                    str(rec.trial_index), str(rec.seed), str(rec.p_used),
-                    _fmt(rec.relative_error), _fmt(rec.raw_error),
-                    _fmt(rec.support_fraction), _fmt(rec.runtime_ms),
-                    str(rec.error_flag),
-                )) + "\n")
+                f.write(",".join(fmt(getattr(rec, name)) for name, fmt in formats) + "\n")
             f.flush()
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc

@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--m", type=int, required=True)
-    p_oracle.add_argument("--seed", type=int, required=True)
+    p_oracle.add_argument("--seed", type=int, required=True, help="in [0, 2^64)")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -167,7 +167,9 @@ def _cmd_signal(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.n < 1 or not 1 <= args.k <= args.n or args.m < 1:
         raise ConfigError(f"need n >= 1, 1 <= k <= n, m >= 1; got n={args.n} k={args.k} m={args.m}")
-    rng = np.random.default_rng(args.seed & ((1 << 64) - 1))
+    if not 0 <= args.seed < 1 << 64:
+        raise ConfigError(f"seed {args.seed} outside [0, 2^64)")
+    rng = np.random.default_rng(args.seed)
     sig = generate(SignalModelSpec(model="gaussian", n=args.n, k=args.k), rng)
     expected = spectrum.expectation_oracle(sig)
     full = np.arange(args.n)

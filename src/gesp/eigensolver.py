@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TOL = 1e-10  # the largest accepted residual ||M v - tau v|| / max(1, |tau|)
+
 
 @dataclass(frozen=True)
 class EigResult:
@@ -40,22 +42,20 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_eigvec(mat, tol: float = 1e-10) -> EigResult:
+def max_eigvec(mat) -> EigResult:
     """Eigenpair of the largest algebraic eigenvalue of a Hermitian matrix.
 
     One `np.linalg.eigh` call on the matrix (its lower triangle is read);
     eigh sorts eigenvalues in ascending order, so the last column is the
     maximal eigenvector.  The vector is rotated to a canonical global phase
     and the eigenvalue reported is its Rayleigh quotient tau.  The residual
-    ||M v - tau v|| must be at most tol * max(1, |tau|), or
+    ||M v - tau v|| must be at most TOL * max(1, |tau|), or
     np.linalg.LinAlgError is raised: a larger residual means the input was
     not Hermitian or not finite.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     _, vectors = np.linalg.eigh(m)  # ascending order
     v = _canonical_phase(vectors[:, -1])
@@ -63,6 +63,6 @@ def max_eigvec(mat, tol: float = 1e-10) -> EigResult:
     tau = float(np.vdot(v, mv).real)
     diff = mv - tau * v
     residual = math.sqrt(float(np.vdot(diff, diff).real))
-    if not residual <= tol * max(1.0, abs(tau)):
-        raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.1e} * max(1, |{tau:.6g}|)")
+    if not residual <= TOL * max(1.0, abs(tau)):
+        raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {TOL:.1e} * max(1, |{tau:.6g}|)")
     return EigResult(eigenvalue=tau, eigenvector=v, residual=residual)

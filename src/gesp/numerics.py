@@ -124,17 +124,23 @@ def top_k_indices(values, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def _p_max(profile: MagnitudeProfile, k: int, variant: str) -> int:
+    """The widest p the variant scans: k for "global", ceil(sqrt(k)) for
+    "capped".  Rejects an unknown variant and k outside [1, n]."""
+    if variant not in P_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {P_VARIANTS}")
+    if not 1 <= k <= profile.n:
+        raise ValueError(f"k must be in [1, {profile.n}], got {k}")
+    return k if variant == "global" else math.isqrt(k - 1) + 1
+
+
 def p_objective(profile: MagnitudeProfile, k: int, p: int, variant: str = "global") -> float:
     """Minmax objective that scores a candidate pursuit width p.
 
     "global" scores max{p^2 s^2(p), k s(p)} for p in [k]; "capped" adds the
     sqrt(k) s^2(p) term and restricts p to [ceil(sqrt(k))].
     """
-    if variant not in P_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {P_VARIANTS}")
-    if not 1 <= k <= profile.n:
-        raise ValueError(f"k must be in [1, {profile.n}], got {k}")
-    p_max = k if variant == "global" else math.isqrt(k - 1) + 1
+    p_max = _p_max(profile, k, variant)
     if not 1 <= p <= p_max:
         raise ValueError(f"p must be in [1, {p_max}] for variant {variant!r}, got {p}")
     s = structure_function(profile, p)
@@ -148,12 +154,4 @@ def p_opt(profile: MagnitudeProfile, k: int, variant: str = "global") -> int:
 
     Ties go to the smallest p, so the result is deterministic.
     """
-    if variant not in P_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {P_VARIANTS}")
-    p_max = k if variant == "global" else math.isqrt(k - 1) + 1
-    best_p, best_obj = 1, math.inf
-    for p in range(1, p_max + 1):
-        obj = p_objective(profile, k, p, variant)
-        if obj < best_obj:
-            best_p, best_obj = p, obj
-    return best_p
+    return min(range(1, _p_max(profile, k, variant) + 1), key=lambda p: p_objective(profile, k, p, variant))

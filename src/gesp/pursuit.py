@@ -103,12 +103,8 @@ def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
 
 
 def step4_estimate(op: spectrum.SpectrumOperator, s1, lambda_sq: float) -> np.ndarray:
-    """Maximal eigenvector of Z_{S1} embedded and scaled to ||z||^2 = lambda_sq."""
-    s1 = np.asarray(s1, dtype=int)
-    res = max_eigvec(spectrum.submatrix(op, s1))
-    z = np.zeros(op.meas.n, dtype=complex)
-    z[s1] = res.eigenvector * math.sqrt(lambda_sq)
-    return z
+    """Step 2's direction on S1, scaled to ||z||^2 = lambda_sq."""
+    return step2_direction(op, s1) * math.sqrt(lambda_sq)
 
 
 def residual_score(meas: MeasurementSet, z) -> float:

@@ -30,25 +30,21 @@ WEIGHTINGS = ("exponential", "quadratic")
 class SpectrumOperator:
     meas: MeasurementSet
     weights: np.ndarray
-    weighting_kind: str
 
 
-def build(meas: MeasurementSet, kind: str = "exponential", *, norm_sq: float | None = None) -> SpectrumOperator:
-    """Compute the per-measurement weights.
+def build(meas: MeasurementSet, kind: str = "exponential") -> SpectrumOperator:
+    """Compute the per-measurement weights from y and lambda_sq.
 
-    The exponential weights use lambda_sq from the measurements; `norm_sq`
-    substitutes the true signal energy instead (analysis/test hook only --
-    the solver never knows ||x||).  Either weighting rejects a zero energy:
-    no estimate with ||z||^2 = lambda_sq = 0 has k nonzeros.
+    Either weighting rejects a zero lambda_sq: no estimate with
+    ||z||^2 = lambda_sq = 0 has k nonzeros.
     """
     if kind not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {kind!r}; expected one of {WEIGHTINGS}")
-    scale = meas.lambda_sq if norm_sq is None else float(norm_sq)
-    if scale <= 0.0:
+    if meas.lambda_sq <= 0.0:
         raise ValueError("degenerate measurements: lambda_sq is zero, all observations vanish")
     y_sq = meas.y**2
-    weights = y_sq if kind == "quadratic" else 0.5 - np.exp(-y_sq / scale)
-    return SpectrumOperator(meas=meas, weights=weights, weighting_kind=kind)
+    weights = y_sq if kind == "quadratic" else 0.5 - np.exp(-y_sq / meas.lambda_sq)
+    return SpectrumOperator(meas=meas, weights=weights)
 
 
 def diagonal(op: SpectrumOperator) -> np.ndarray:

@@ -1,10 +1,13 @@
 import json
 import math
 import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from gesp import bench
 from gesp.bench import (
     AlgorithmSpec,
     BenchConfig,
@@ -98,6 +101,11 @@ class TestConfig:
                 "base_seed": 0, "signal": {"model": "gaussian"},
                 "algorithms": [{"algorithm": "copram"}],
             })
+
+    def test_truncated_power_iters_checked_by_constructor(self):
+        # the loader rejected "iters": 0, the constructor used to accept it
+        with pytest.raises(ConfigError, match="iters must be >= 1"):
+            AlgorithmSpec(name="truncated_power", tpm_iters=0)
 
     def test_gesp_needs_strategy(self):
         with pytest.raises(ConfigError):
@@ -213,9 +221,30 @@ class TestRunSweep:
 
     def test_deterministic_across_runs_and_threads(self):
         a = run_sweep(_mini_config(threads=1))
-        b = run_sweep(_mini_config(threads=1))
-        c = run_sweep(_mini_config(threads=4))
-        assert a == b == c
+        for threads in (1, 2, 4, 8):
+            assert run_sweep(_mini_config(threads=threads)) == a
+        # (ratio, trial) order, the algorithms in config order within a trial
+        assert [(r.ratio, r.trial_index, r.algorithm) for r in a] == [
+            (ratio, ti, name) for ratio in (0.5, 1.0) for ti in range(3) for name in ("gesp", "esp")
+        ]
+
+    def test_failing_trial_stops_threaded_sweep(self, monkeypatch):
+        # every queued trial used to run after the first one raised
+        started, lock = [], threading.Lock()
+
+        def trial(config, ratio_index, trial_index):
+            with lock:
+                started.append((ratio_index, trial_index))
+            time.sleep(0.01)
+            if (ratio_index, trial_index) == (0, 0):
+                raise RuntimeError("trial failed")
+            return []
+
+        monkeypatch.setattr(bench, "_run_trial", trial)
+        config = _mini_config(trials=20, threads=2)  # 2 ratios x 20 trials = 40 tasks
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_sweep(config)
+        assert len(started) <= config.threads + 2
 
     def test_paired_measurements_within_trial(self):
         records = run_sweep(_mini_config())

@@ -162,3 +162,9 @@ class TestOracle:
 
     def test_bad_dimensions(self, capsys):
         assert cli_main(["oracle", "--n", "4", "--k", "9", "--m", "10", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, capsys, seed):
+        # --seed -1 used to be masked to 2^64 - 1 and exit 0
+        assert cli_main(["oracle", "--n", "4", "--k", "2", "--m", "10", "--seed", seed]) == 1
+        assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err

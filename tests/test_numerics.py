@@ -237,6 +237,13 @@ class TestPOpt:
         prof = MagnitudeProfile(np.full(k, 1.0 / k), 1.0)
         assert p_opt(prof, k, "global") == 1
 
+    @pytest.mark.parametrize("variant", ["global", "capped"])
+    @pytest.mark.parametrize("k", [0, 31])
+    def test_k_outside_range_raises(self, k, variant):
+        # k = 0 used to return p = 1 without a word
+        with pytest.raises(ValueError, match=r"k must be in \[1, 30\]"):
+            p_opt(_example2_profile(), k, variant)
+
     def test_attains_minimum_of_independent_rescan(self):
         rng = np.random.default_rng(12)
         for _ in range(30):

@@ -57,12 +57,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(meas, "exponential")
 
-    def test_true_norm_substitution(self):
-        sig, meas = _instance(1)
-        tilde = build(meas, "exponential", norm_sq=sig.norm_sq)
-        expected = 0.5 - np.exp(-(meas.y**2) / sig.norm_sq)
-        assert np.allclose(tilde.weights, expected, rtol=1e-15)
-
 
 class TestDenseOracleAgreement:
     def test_constant_row(self):
