@@ -24,6 +24,7 @@ from .numerics import top_k_indices
 from .pursuit import InitEstimate, PStrategy, _finish, gesp, step2_direction
 
 BASELINE_KINDS = ("esp", "diag_two_step", "truncated_power")
+TPM_ITERS = 50  # truncated_power's default iteration cap
 
 
 def esp_init(meas: MeasurementSet, k: int) -> InitEstimate:
@@ -42,7 +43,7 @@ def diag_two_step_init(meas: MeasurementSet, k: int) -> InitEstimate:
     return _finish(op, s, k, s)
 
 
-def truncated_power_init(meas: MeasurementSet, k: int, iters: int = 50) -> InitEstimate:
+def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -> InitEstimate:
     """Truncated power method (Yuan & Zhang, "Truncated power method for
     sparse eigenvalue problems", JMLR 14, 2013) on the exponential spectrum.
 

@@ -22,11 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
-from statistics import median
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, diag_two_step_init, esp_init, truncated_power_init
+from .baselines import BASELINE_KINDS, TPM_ITERS, diag_two_step_init, esp_init, truncated_power_init
 from .measurement import MeasurementSet, measure, sample_sensing
 from .numerics import relative_error
 from .pursuit import InitEstimate, PStrategy, gesp
@@ -62,7 +61,7 @@ class AlgorithmSpec:
 
     name: str                        # gesp | esp | diag_two_step | truncated_power
     strategy: PStrategy | None = None  # gesp only
-    tpm_iters: int = 50              # truncated_power only
+    tpm_iters: int = TPM_ITERS       # truncated_power only
 
     def __post_init__(self):
         if self.name == "gesp":
@@ -80,8 +79,8 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    n: int
-    k: int
+    """One sweep's settings; n and k are read from the signal, so they cannot disagree with it."""
+
     ratios: tuple[float, ...]
     trials: int
     base_seed: int
@@ -107,6 +106,14 @@ class BenchConfig:
                 raise ConfigError(f"ratio {r} outside (0, 2]")
             if round(r * self.n) < 1:
                 raise ConfigError(f"ratio {r} resolves to m = 0 at n = {self.n}")
+
+    @property
+    def n(self) -> int:
+        return self.signal.n
+
+    @property
+    def k(self) -> int:
+        return self.signal.k
 
     def resolved_ratios(self) -> list[tuple[float, int]]:
         """(ratio, m) pairs with duplicate m values dropped, order kept."""
@@ -144,11 +151,8 @@ CSV_COLUMNS = tuple(field.name for field in fields(TrialRecord))  # declaration 
 @dataclass(frozen=True)
 class AggregateStats:
     mean_rel_err: float
-    median_rel_err: float
     sd_rel_err: float
     mean_support_frac: float
-    median_support_frac: float
-    sd_support_frac: float
     count: int
 
 
@@ -201,8 +205,9 @@ def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
         _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
     try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
-        strategy = PStrategy(kind, p, entry.get("variant", "global")) if name == "gesp" else None
-        return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=_int(entry.get("iters", 50), f"{where}.iters"))
+        strategy = PStrategy(kind, p, entry.get("variant", PStrategy.variant)) if name == "gesp" else None
+        iters = _int(entry.get("iters", AlgorithmSpec.tpm_iters), f"{where}.iters")
+        return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
     except ValueError as exc:  # ConfigError is one too
         raise ConfigError(f"bad algorithm entry {where} {entry!r}: {exc}") from exc
 
@@ -223,7 +228,8 @@ def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
     top level, `signal`, `algorithms[i]`); integers must be integral and not
     bools, `record_runtime` a bool, and `base_seed` in [0, 2^64).  Each
-    error names the offending key."""
+    error names the offending key.  `n` and `k` go to the signal; a missing
+    optional key takes the default of the dataclass field it fills."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -239,22 +245,20 @@ def config_from_dict(raw: dict) -> BenchConfig:
             model=sig_raw["model"],
             n=n,
             k=k,
-            decay=_float(sig_raw.get("decay", 0.7), "signal.decay"),
-            target_norm=_float(sig_raw.get("target_norm", 1.0), "signal.target_norm"),
+            decay=_float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"),
+            target_norm=_float(sig_raw.get("target_norm", SignalModelSpec.target_norm), "signal.target_norm"),
         )
-        record_runtime = raw.get("record_runtime", False)
+        record_runtime = raw.get("record_runtime", BenchConfig.record_runtime)
         if not isinstance(record_runtime, bool):
             raise ConfigError(f"record_runtime must be true or false, got {record_runtime!r}")
         return BenchConfig(
-            n=n,
-            k=k,
             ratios=tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(raw["ratios"])),
             trials=_int(raw["trials"], "trials"),
             base_seed=_int(raw["base_seed"], "base_seed"),
             signal=signal,
             algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(raw["algorithms"])),
-            threads=_int(raw.get("threads", 1), "threads"),
-            out_path=str(raw.get("out_path", "results.csv")),
+            threads=_int(raw.get("threads", BenchConfig.threads), "threads"),
+            out_path=str(raw.get("out_path", BenchConfig.out_path)),
             record_runtime=record_runtime,
         )
     except KeyError as exc:
@@ -279,8 +283,7 @@ def build_trial_instance(
 
 def run_algorithm(algo: AlgorithmSpec, meas: MeasurementSet, k: int, sig: SparseSignal) -> InitEstimate:
     if algo.name == "gesp":
-        profile = sig.profile if algo.strategy.kind == "known_structure" else None
-        return gesp(meas, k, algo.strategy, true_profile=profile)
+        return gesp(meas, k, algo.strategy, true_profile=sig.profile)
     if algo.name == "esp":
         return esp_init(meas, k)
     if algo.name == "diag_two_step":
@@ -361,11 +364,8 @@ def aggregate(records) -> dict[tuple[str, str, float], AggregateStats]:
         sup = np.array([r.support_fraction for r in recs])
         out[key] = AggregateStats(
             mean_rel_err=float(rel.mean()),
-            median_rel_err=float(median(rel.tolist())),
             sd_rel_err=float(rel.std()),
             mean_support_frac=float(sup.mean()),
-            median_support_frac=float(median(sup.tolist())),
-            sd_support_frac=float(sup.std()),
             count=len(recs),
         )
     return out

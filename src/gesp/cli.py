@@ -16,13 +16,14 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import bench, spectrum
 from .bench import BenchConfig, ConfigError, load_config
 from .measurement import measure, sample_sensing
-from .numerics import dist, p_objective, p_opt, structure_function
+from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
 
@@ -74,23 +75,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(config: BenchConfig, args) -> BenchConfig:
-    updates = {}
-    if getattr(args, "out", None):
-        updates["out_path"] = args.out
-    if getattr(args, "seed", None) is not None:
-        updates["base_seed"] = args.seed  # BenchConfig rejects a seed outside [0, 2^64)
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
-    if not updates:
-        return config
-    from dataclasses import replace
-
-    return replace(config, **updates)
-
-
 def _cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    # each flag given replaces its config field; BenchConfig rejects a seed outside [0, 2^64)
+    overrides = dict(out_path=args.out, base_seed=args.seed, threads=args.threads)
+    config = replace(load_config(args.config), **{key: v for key, v in overrides.items() if v is not None})
     if config.threads > 1 and not any(os.environ.get(var) for var in BLAS_THREAD_VARS):
         print(f"warning: threads={config.threads} but none of {', '.join(BLAS_THREAD_VARS)} is set, so each "
               "worker's BLAS calls may start threads of their own; the README's 'Performance' section "
@@ -152,11 +140,10 @@ def _cmd_signal(args) -> int:
     k = config.k
     print(f"model={config.signal.model} n={config.n} k={k} ||x||^2={profile.total_energy:.6g}")
     print("  p    s(p)          obj_global     obj_capped")
-    cap = int(np.ceil(np.sqrt(k)))
     for p in range(1, k + 1):
         s = structure_function(profile, p)
         og = p_objective(profile, k, p, "global")
-        oc = f"{p_objective(profile, k, p, 'capped'):<14.6g}" if p <= cap else "-"
+        oc = f"{p_objective(profile, k, p, 'capped'):<14.6g}" if p <= ceil_sqrt(k) else "-"
         print(f"  {p:<4d} {s:<13.6g} {og:<14.6g} {oc}")
     for variant in ("global", "capped"):
         best = p_opt(profile, k, variant)

@@ -124,6 +124,11 @@ def top_k_indices(values, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def ceil_sqrt(k: int) -> int:
+    """ceil(sqrt(k)) for an integer k >= 1, exact where a float sqrt can round past an integer."""
+    return math.isqrt(k - 1) + 1
+
+
 def _p_max(profile: MagnitudeProfile, k: int, variant: str) -> int:
     """The widest p the variant scans: k for "global", ceil(sqrt(k)) for
     "capped".  Rejects an unknown variant and k outside [1, n]."""
@@ -131,7 +136,7 @@ def _p_max(profile: MagnitudeProfile, k: int, variant: str) -> int:
         raise ValueError(f"unknown variant {variant!r}; expected one of {P_VARIANTS}")
     if not 1 <= k <= profile.n:
         raise ValueError(f"k must be in [1, {profile.n}], got {k}")
-    return k if variant == "global" else math.isqrt(k - 1) + 1
+    return k if variant == "global" else ceil_sqrt(k)
 
 
 def p_objective(profile: MagnitudeProfile, k: int, p: int, variant: str = "global") -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from . import spectrum
 from .eigensolver import max_eigvec
 from .measurement import MeasurementSet
-from .numerics import MagnitudeProfile, P_VARIANTS, p_opt, top_k_indices
+from .numerics import MagnitudeProfile, P_VARIANTS, ceil_sqrt, p_opt, top_k_indices
 
 STRATEGY_KINDS = ("fixed", "known_structure", "sqrt_k", "full_k", "ensemble")
 
@@ -153,7 +153,7 @@ def gesp(
             raise ValueError("known_structure strategy requires the true magnitude profile")
         p = p_opt(true_profile, k, strategy.variant)
     elif strategy.kind == "sqrt_k":
-        p = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
+        p = ceil_sqrt(k)
     else:  # full_k, and the widest width of ensemble
         p = k
     widths = range(1 if strategy.kind == "ensemble" else p, p + 1)

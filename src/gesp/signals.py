@@ -31,13 +31,13 @@ class SignalModelSpec:
             raise ValueError(f"unknown signal model {self.model!r}; expected one of {SIGNAL_MODELS}")
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.target_norm <= 0:
-            raise ValueError("target_norm must be positive")
+        if not 0 < self.target_norm < math.inf:
+            raise ValueError(f"target_norm must be finite and positive, got {self.target_norm}")
         if self.model == "exp_decay" and not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-        if self.model == "example1" and not (_is_root(self.k, 2) and _is_root(self.k, 6)):
+        if self.model == "example1" and not (_int_root(self.k, 2) and _int_root(self.k, 6)):
             raise ValueError(f"example1 requires integer sqrt(k) and k^(1/6), got k={self.k}")
-        if self.model == "example2" and not (_is_root(self.k, 2) and _is_root(self.k, 4)):
+        if self.model == "example2" and not (_int_root(self.k, 2) and _int_root(self.k, 4)):
             raise ValueError(f"example2 requires integer sqrt(k) and k^(1/4), got k={self.k}")
 
 
@@ -62,17 +62,9 @@ class SparseSignal:
         return self.profile.total_energy
 
 
-def _is_root(k: int, r: int) -> bool:
+def _int_root(k: int, r: int) -> int | None:
     t = round(k ** (1.0 / r))
-    return any(c >= 1 and c**r == k for c in (t - 1, t, t + 1))
-
-
-def _int_root(k: int, r: int) -> int:
-    t = round(k ** (1.0 / r))
-    for c in (t - 1, t, t + 1):
-        if c >= 1 and c**r == k:
-            return c
-    raise ValueError(f"k={k} is not a perfect {r}-th power")
+    return next((c for c in (t - 1, t, t + 1) if c >= 1 and c**r == k), None)
 
 
 def sample_support(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -245,7 +245,7 @@ RATIOS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 def _trend_sweep(model, algorithms, seed):
     config = BenchConfig(
-        n=200, k=10, ratios=RATIOS, trials=200, base_seed=seed,
+        ratios=RATIOS, trials=200, base_seed=seed,
         signal=SignalModelSpec(model=model, n=200, k=10, decay=0.7),
         algorithms=algorithms, threads=2,
     )

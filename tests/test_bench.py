@@ -3,6 +3,7 @@ import math
 import pathlib
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gesp.bench import (
     write_csv,
     write_plot_data,
 )
-from gesp.pursuit import PStrategy
+from gesp.pursuit import PStrategy, gesp
 from gesp.signals import SignalModelSpec
 
 from oracles import StreamingMoments
@@ -33,8 +34,6 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 
 def _mini_config(**overrides) -> BenchConfig:
     base = dict(
-        n=24,
-        k=4,
         ratios=(0.5, 1.0),
         trials=3,
         base_seed=99,
@@ -88,7 +87,7 @@ class TestConfig:
 
     def test_ratio_resolving_to_zero_m(self):
         with pytest.raises(ConfigError):
-            _mini_config(n=24, ratios=(0.01,))
+            _mini_config(ratios=(0.01,))
 
     def test_duplicate_m_deduplicated(self):
         config = _mini_config(ratios=(0.5, 0.51, 1.0))  # 0.5 and 0.51 both give m=12
@@ -212,6 +211,57 @@ class TestStrictConfig:
     def test_base_seed_edges_accepted(self):
         assert config_from_dict(_raw_config(base_seed=2**64 - 1)).base_seed == 2**64 - 1
         assert config_from_dict(_raw_config(base_seed=0)).base_seed == 0
+
+    @pytest.mark.parametrize("norm", [float("nan"), float("inf")])
+    def test_non_finite_target_norm_rejected(self, norm):
+        # JSON loads NaN and Infinity; they used to reach generate and fail there
+        with pytest.raises(ConfigError, match="target_norm must be finite and positive"):
+            config_from_dict(_raw_config(signal={"model": "gaussian", "target_norm": norm}))
+
+    def test_non_finite_target_norm_rejected_from_json(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_raw_config()).replace('"gaussian"}', '"gaussian", "target_norm": NaN}'))
+        with pytest.raises(ConfigError, match="target_norm"):
+            load_config(path)
+
+
+class TestOneSource:
+    def test_missing_optional_keys_take_the_dataclass_defaults(self):
+        raw = _raw_config(algorithms=[
+            {"algorithm": "gesp", "strategy": "known_structure"},
+            {"algorithm": "truncated_power"},
+        ])
+        assert config_from_dict(raw) == BenchConfig(
+            ratios=(1.0,), trials=1, base_seed=0,
+            signal=SignalModelSpec(model="gaussian", n=8, k=2),
+            algorithms=(
+                AlgorithmSpec(name="gesp", strategy=PStrategy(kind="known_structure")),
+                AlgorithmSpec(name="truncated_power"),
+            ),
+        )
+
+    def test_n_and_k_are_the_signals(self):
+        config = _mini_config(signal=SignalModelSpec(model="gaussian", n=30, k=5))
+        assert (config.n, config.k) == (30, 5)
+        loaded = config_from_dict(_raw_config(n=12, k=3))
+        assert (loaded.n, loaded.k) == (loaded.signal.n, loaded.signal.k) == (12, 3)
+        assert len(fields(BenchConfig)) == 8 and {"n", "k"}.isdisjoint(f.name for f in fields(BenchConfig))
+
+    def test_size_cannot_disagree_with_the_signal(self):
+        # n=10 beside the signal's n=24 used to build and fail inside run_sweep
+        with pytest.raises(TypeError):
+            _mini_config(n=10, k=2)
+
+    @pytest.mark.parametrize("strategy", [
+        PStrategy.fixed(2), PStrategy.sqrt_k(), PStrategy.full_k(), PStrategy.ensemble(),
+    ], ids=lambda s: s.kind)
+    def test_run_algorithm_profile_unread_outside_known_structure(self, strategy):
+        config = _mini_config()
+        _seed, sig, meas = build_trial_instance(config, 1, 0)
+        got = bench.run_algorithm(AlgorithmSpec(name="gesp", strategy=strategy), meas, config.k, sig)
+        ref = gesp(meas, config.k, strategy)
+        assert got.z.tobytes() == ref.z.tobytes() and got.p_used == ref.p_used
+        assert np.array_equal(got.support, ref.support) and np.array_equal(got.s0, ref.s0)
 
 
 class TestRunSweep:
@@ -391,7 +441,7 @@ class TestSweepMonotonicity:
         # error should not rise with the sampling ratio beyond one bootstrap
         # standard error of the difference
         config = BenchConfig(
-            n=200, k=10, ratios=tuple(round(0.1 * i, 1) for i in range(1, 11)),
+            ratios=tuple(round(0.1 * i, 1) for i in range(1, 11)),
             trials=100, base_seed=808,
             signal=SignalModelSpec(model="gaussian", n=200, k=10),
             algorithms=(

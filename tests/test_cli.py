@@ -87,6 +87,20 @@ class TestRun:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "config" in capsys.readouterr().err
 
+    def test_empty_out_is_applied(self, tmp_path, capsys):
+        # an empty --out used to be ignored in favour of the config's out_path
+        config = _small_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--out", ""]) == 2
+        assert "failed writing records to :" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_finite_target_norm_exits_1(self, tmp_path, capsys):
+        config = _small_config(tmp_path)
+        config.write_text(config.read_text().replace('"gaussian"}', '"gaussian", "target_norm": Infinity}'))
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert "target_norm" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unwritable_output_exits_2(self, tmp_path):
         config = _small_config(tmp_path)
         bad = tmp_path / "no_such_dir" / "out.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from gesp.numerics import (
     MagnitudeProfile,
+    ceil_sqrt,
     dist,
     magnitude_profile,
     p_objective,
@@ -183,6 +184,14 @@ class TestTopK:
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):
             top_k_indices([1.0, 2.0], 3)
+
+
+class TestCeilSqrt:
+    def test_least_c_with_square_at_least_k(self):
+        # 2^54 + 1: a float np.ceil(np.sqrt(k)) rounds down to 2^27 there
+        for k in [*range(1, 10**5 + 1), 2**54 + 1]:
+            c = ceil_sqrt(k)
+            assert c * c >= k and (c - 1) ** 2 < k, k
 
 
 def _example2_profile():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesp.numerics import magnitude_profile, structure_function
-from gesp.signals import SignalModelSpec, generate, sample_support
+from gesp.signals import SignalModelSpec, _int_root, generate, sample_support
 
 # frozen from explicit evaluation of the k=16 three-tier table
 # (2 entries, 2 entries, 12 entries; unit total energy)
@@ -59,6 +59,18 @@ class TestSpecValidation:
     def test_decay_range(self):
         with pytest.raises(ValueError):
             SignalModelSpec(model="exp_decay", n=16, k=4, decay=1.0)
+
+    @pytest.mark.parametrize("norm", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_target_norm_finite_and_positive(self, norm):
+        # NaN and inf used to be accepted and fail later in generate
+        with pytest.raises(ValueError, match="target_norm must be finite and positive"):
+            SignalModelSpec(model="gaussian", n=16, k=4, target_norm=norm)
+
+
+def test_int_root_returns_root_or_none():
+    assert [_int_root(64, r) for r in (1, 2, 3, 6)] == [64, 8, 4, 2]
+    assert _int_root(16, 4) == 2 and _int_root(1, 6) == 1
+    assert _int_root(8, 2) is None and _int_root(63, 6) is None and _int_root(65, 2) is None
 
 
 class TestGenerate:
