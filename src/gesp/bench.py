@@ -227,9 +227,9 @@ def load_config(path) -> BenchConfig:
 def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
     top level, `signal`, `algorithms[i]`); integers must be integral and not
-    bools, `record_runtime` a bool, and `base_seed` in [0, 2^64).  Each
-    error names the offending key.  `n` and `k` go to the signal; a missing
-    optional key takes the default of the dataclass field it fills."""
+    bools, `record_runtime` a bool, `out_path` a string, and `base_seed` in
+    [0, 2^64).  Each error names the offending key.  `n` and `k` go to the
+    signal; a missing optional key takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -251,6 +251,9 @@ def config_from_dict(raw: dict) -> BenchConfig:
         record_runtime = raw.get("record_runtime", BenchConfig.record_runtime)
         if not isinstance(record_runtime, bool):
             raise ConfigError(f"record_runtime must be true or false, got {record_runtime!r}")
+        out_path = raw.get("out_path", BenchConfig.out_path)
+        if not isinstance(out_path, str):
+            raise ConfigError(f"out_path must be a string, got {out_path!r}")
         return BenchConfig(
             ratios=tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(raw["ratios"])),
             trials=_int(raw["trials"], "trials"),
@@ -258,7 +261,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
             signal=signal,
             algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(raw["algorithms"])),
             threads=_int(raw.get("threads", BenchConfig.threads), "threads"),
-            out_path=str(raw.get("out_path", BenchConfig.out_path)),
+            out_path=out_path,
             record_runtime=record_runtime,
         )
     except KeyError as exc:

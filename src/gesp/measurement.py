@@ -2,14 +2,16 @@
 
 A MeasurementSet bundles the m sensing rows a_i, the moduli y_i = |a_i* x|,
 the energy estimate lambda_sq = mean(y^2), and the entrywise |a_ij|^2 that
-every spectrum diagonal reads.  Sets are immutable after construction and
-safe to share across threads.  An optional little-endian binary dump/load
-exists for reproducibility debugging.
+every spectrum diagonal reads.  An instance peaks at 24*m*n bytes: sensing
+plus |A|^2 (summed a block of about 1 MB at a time), or while sampled,
+sensing plus one reused buffer of draws; a dump loads into one copy.  Sets
+are immutable and thread-safe.  Little-endian binary dump/load for debugging.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -40,7 +42,13 @@ class MeasurementSet:
             raise ValueError("y has negative entries; moduli must be non-negative")
         if not (math.isfinite(self.lambda_sq) and self.lambda_sq >= 0):
             raise ValueError(f"lambda_sq must be finite and non-negative, got {self.lambda_sq}")
-        object.__setattr__(self, "abs_sq", self.sensing.real**2 + self.sensing.imag**2)
+        # re^2 + im^2 with the same two roundings, but the imaginary squares
+        # are added a block of about 1 MB at a time: no m x n temporary
+        abs_sq = np.square(self.sensing.real)
+        rows = max(1, 2**17 // self.n)
+        for start in range(0, self.m, rows):
+            abs_sq[start:start + rows] += np.square(self.sensing.imag[start:start + rows])
+        object.__setattr__(self, "abs_sq", abs_sq)
 
     @property
     def m(self) -> int:
@@ -52,13 +60,14 @@ class MeasurementSet:
 
 
 def sample_sensing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m x n i.i.d. standard complex Gaussian rows: real and imaginary
-    parts independent N(0, 1/2), drawn in that order, so E|a_ij|^2 = 1."""
+    """m x n i.i.d. standard complex Gaussian rows, E|a_ij|^2 = 1: independent
+    N(0, 1/2) real then imaginary parts, drawn into one reused float buffer."""
     if n < 1 or m < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     sensing = np.empty((m, n), dtype=complex)
+    draws = np.empty((m, n))
     for part in (sensing.real, sensing.imag):
-        np.multiply(rng.standard_normal((m, n)), math.sqrt(0.5), out=part)
+        np.multiply(rng.standard_normal(out=draws), math.sqrt(0.5), out=part)
     return sensing
 
 
@@ -84,26 +93,29 @@ def save_measurements(meas: MeasurementSet, path) -> None:
 def load_measurements(path) -> MeasurementSet:
     """Read a dump written by save_measurements.  The file must be exactly
     the size its header declares: a shorter one is a truncated file, a
-    longer one has trailing bytes after y."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    magic = blob[:len(_MAGIC)]
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+    longer one has trailing bytes after y.  The arrays are read straight
+    into aligned buffers, so the sensing matrix is held once."""
     header = len(_MAGIC) + 16
-    if len(blob) < header:
-        raise ValueError(f"{path}: truncated file: expected at least {header} bytes of header, got {len(blob)}")
-    n, m = struct.unpack_from("<QQ", blob, len(_MAGIC))
-    if n < 1 or m < 1:
-        raise ValueError(f"{path}: header gives n={n}, m={m}; both must be >= 1")
-    expected = header + 16 * m * n + 8 * m
-    if len(blob) < expected:
-        raise ValueError(f"{path}: truncated file: expected {expected} bytes for n={n}, m={m}, got {len(blob)}")
-    if len(blob) > expected:
-        raise ValueError(
-            f"{path}: {len(blob) - expected} trailing bytes after y: "
-            f"expected {expected} bytes for n={n}, m={m}, got {len(blob)}"
-        )
-    sensing = np.frombuffer(blob, dtype="<c16", count=m * n, offset=header).reshape(m, n).astype(complex)
-    y = np.frombuffer(blob, dtype="<f8", count=m, offset=header + 16 * m * n).astype(float)
+    with open(path, "rb") as f:
+        head = f.read(header)
+        size = os.fstat(f.fileno()).st_size
+        magic = head[:len(_MAGIC)]
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
+        if size < header:
+            raise ValueError(f"{path}: truncated file: expected at least {header} bytes of header, got {size}")
+        n, m = struct.unpack_from("<QQ", head, len(_MAGIC))
+        if n < 1 or m < 1:
+            raise ValueError(f"{path}: header gives n={n}, m={m}; both must be >= 1")
+        expected = header + 16 * m * n + 8 * m
+        if size < expected:
+            raise ValueError(f"{path}: truncated file: expected {expected} bytes for n={n}, m={m}, got {size}")
+        if size > expected:
+            raise ValueError(
+                f"{path}: {size - expected} trailing bytes after y: "
+                f"expected {expected} bytes for n={n}, m={m}, got {size}"
+            )
+        sensing, y = np.empty((m, n), dtype="<c16"), np.empty(m, dtype="<f8")
+        if f.readinto(sensing) + f.readinto(y) != expected - header:
+            raise ValueError(f"{path}: truncated file: it shrank while being read")
     return MeasurementSet(sensing=sensing, y=y, lambda_sq=float(np.mean(y**2)))

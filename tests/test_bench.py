@@ -218,6 +218,12 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match="target_norm must be finite and positive"):
             config_from_dict(_raw_config(signal={"model": "gaussian", "target_norm": norm}))
 
+    @pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["null", "5", "list"])
+    def test_out_path_must_be_a_string(self, value):
+        # null used to load as the file name "None", 5 as "5"
+        with pytest.raises(ConfigError, match="^out_path must be a string, got "):
+            config_from_dict(_raw_config(out_path=value))
+
     def test_non_finite_target_norm_rejected_from_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(_raw_config()).replace('"gaussian"}', '"gaussian", "target_norm": NaN}'))

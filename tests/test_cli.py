@@ -101,6 +101,13 @@ class TestRun:
         assert "target_norm" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_null_out_path_exits_1(self, tmp_path, capsys):
+        # it used to write the records to a file named "None"
+        config = _small_config(tmp_path, out_path=None)
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert "out_path must be a string, got None" in capsys.readouterr().err
+        assert not (pathlib.Path.cwd() / "None").exists()
+
     def test_unwritable_output_exits_2(self, tmp_path):
         config = _small_config(tmp_path)
         bad = tmp_path / "no_such_dir" / "out.csv"

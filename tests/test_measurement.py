@@ -1,9 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gesp.measurement import MeasurementSet, load_measurements, measure, sample_sensing, save_measurements
 from gesp.numerics import magnitude_profile
 from gesp.signals import SignalModelSpec, SparseSignal, generate
+
+
+def _block_rows(n):
+    # MeasurementSet adds the imaginary squares this many rows at a time
+    return max(1, 2**17 // n)
+
+
+def _peak_bytes(build):
+    """What `build()` returns, and the most memory it held at once."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _signal_from_vector(x):
@@ -40,6 +57,30 @@ class TestSampleSensing:
         b = np.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         assert a.dtype == complex and a.shape == (m, n)
         assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+    def test_memory_is_sensing_plus_one_float_buffer(self):
+        rng = np.random.default_rng(109)
+        sensing, peak = _peak_bytes(lambda: sample_sensing(400, 400, rng))
+        assert peak <= sensing.nbytes + 400 * 400 * 8 + 64 * 1024
+
+
+class TestAbsSq:
+    @pytest.mark.parametrize("n, m", [
+        (64, 1), (64, _block_rows(64) - 1), (64, _block_rows(64)), (64, _block_rows(64) + 1), (2**17 + 3, 3),
+    ])
+    def test_bitwise_equal_to_sum_of_squares(self, n, m):
+        sensing = sample_sensing(n, m, np.random.default_rng(110))
+        abs_sq = MeasurementSet(sensing=sensing, y=np.ones(m), lambda_sq=1.0).abs_sq
+        direct = sensing.real**2 + sensing.imag**2
+        assert abs_sq.shape == (m, n)
+        assert np.array_equal(abs_sq.view(np.uint64), direct.view(np.uint64))
+
+    def test_memory_is_abs_sq_plus_one_block(self):
+        # real**2 + imag**2 held two m x n float arrays at once
+        n = m = 400
+        sensing, y = sample_sensing(n, m, np.random.default_rng(111)), np.ones(m)
+        meas, peak = _peak_bytes(lambda: MeasurementSet(sensing=sensing, y=y, lambda_sq=1.0))
+        assert peak <= meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
 
 
 class TestMeasure:
@@ -159,6 +200,16 @@ class TestBinaryDump:
         path.write_bytes(b"SPRM1" + (0).to_bytes(8, "little") + (3).to_bytes(8, "little") + b"\x00" * 24)
         with pytest.raises(ValueError, match=r"meas\.bin: header gives n=0, m=3"):
             load_measurements(path)
+
+    def test_load_holds_one_sensing_matrix(self, tmp_path):
+        # the whole file as bytes plus a converted copy used to be held at once
+        n = m = 400
+        rng = np.random.default_rng(112)
+        sig = generate(SignalModelSpec(model="gaussian", n=n, k=4), rng)
+        path = tmp_path / "meas.bin"
+        save_measurements(measure(sig, sample_sensing(n, m, rng)), path)
+        meas, peak = _peak_bytes(lambda: load_measurements(path))
+        assert peak <= meas.sensing.nbytes + meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
 
 
 class TestMeasurementSetChecks:
