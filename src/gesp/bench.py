@@ -64,11 +64,10 @@ class AlgorithmSpec:
     tpm_iters: int = TPM_ITERS       # truncated_power only
 
     def __post_init__(self):
-        if self.name == "gesp":
-            if self.strategy is None:
-                raise ConfigError("gesp algorithm entry needs a strategy")
-        elif self.name not in BASELINE_KINDS:
+        if self.name != "gesp" and self.name not in BASELINE_KINDS:
             raise ConfigError(f"unknown algorithm {self.name!r}")
+        if (self.strategy is None) == (self.name == "gesp"):
+            raise ConfigError(f"a strategy is for gesp only, and gesp needs one; got {self.strategy} for {self.name!r}")
         if self.tpm_iters < 1:
             raise ConfigError(f"truncated_power iters must be >= 1, got {self.tpm_iters}")
 

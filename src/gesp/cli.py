@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bench, spectrum
 from .bench import BenchConfig, ConfigError, load_config
-from .measurement import measure, sample_sensing
+from .measurement import measure, sample_sensing, sensing_layout
 from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
@@ -112,7 +112,7 @@ def _cmd_single(args) -> int:
     print(f"trial seed={seed} model={config.signal.model} n={config.n} k={config.k} "
           f"m={m} ratio={ratio:g} lambda_sq={meas.lambda_sq:.6g}")
     if args.verbose:
-        digest = hashlib.sha256(np.ascontiguousarray(meas.sensing).astype("<c16").tobytes()).hexdigest()
+        digest = hashlib.sha256(sensing_layout(meas.sensing)).hexdigest()
         print(f"sensing sha256={digest}")
         print(f"true support: {sig.support.tolist()}")
     for algo in config.algorithms:

@@ -1,11 +1,11 @@
 """Complex Gaussian sensing ensembles and phaseless observations.
 
-A MeasurementSet bundles the m sensing rows a_i, the moduli y_i = |a_i* x|,
-the energy estimate lambda_sq = mean(y^2), and the entrywise |a_ij|^2 that
+A MeasurementSet is built from the sensing rows a_i and the moduli
+y_i = |a_i* x| alone; it derives lambda_sq = mean(y^2) and the |a_ij|^2 that
 every spectrum diagonal reads.  An instance peaks at 24*m*n bytes: sensing
-plus |A|^2 (summed a block of about 1 MB at a time), or while sampled,
-sensing plus one reused buffer of draws; a dump loads into one copy.  Sets
-are immutable and thread-safe.  Little-endian binary dump/load for debugging.
+plus |A|^2 (summed about 1 MB at a time), or while sampled, sensing plus
+one reused buffer of draws.  Sets are immutable and thread-safe.  A binary
+little-endian dump, for debugging, loads into one copy and saves from none.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _MAGIC = b"SPRM1"
 class MeasurementSet:
     sensing: np.ndarray  # m x n complex, row i = a_i
     y: np.ndarray        # m non-negative moduli |a_i* x|
-    lambda_sq: float     # mean of y^2
+    lambda_sq: float = field(init=False)  # mean of y^2
     abs_sq: np.ndarray = field(init=False, repr=False, compare=False)  # m x n |a_ij|^2
 
     def __post_init__(self):
@@ -40,8 +40,10 @@ class MeasurementSet:
             raise ValueError("y has non-finite entries")
         if (self.y < 0).any():
             raise ValueError("y has negative entries; moduli must be non-negative")
-        if not (math.isfinite(self.lambda_sq) and self.lambda_sq >= 0):
-            raise ValueError(f"lambda_sq must be finite and non-negative, got {self.lambda_sq}")
+        with np.errstate(over="ignore"):  # y^2 can overflow on a loaded dump
+            object.__setattr__(self, "lambda_sq", float(np.mean(self.y**2)))
+        if not math.isfinite(self.lambda_sq):
+            raise ValueError(f"lambda_sq = mean(y^2) must be finite, got {self.lambda_sq}")
         # re^2 + im^2 with the same two roundings, but the imaginary squares
         # are added a block of about 1 MB at a time: no m x n temporary
         abs_sq = np.square(self.sensing.real)
@@ -72,12 +74,17 @@ def sample_sensing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def measure(x: SparseSignal, sensing: np.ndarray) -> MeasurementSet:
-    """Phaseless observations y_i = |a_i* x| and their mean square."""
+    """Phaseless observations y_i = |a_i* x|."""
     sensing = np.asarray(sensing, dtype=complex)
     if sensing.ndim != 2 or sensing.shape[1] != x.n:
         raise ValueError(f"sensing must be m x {x.n}, got {sensing.shape}")
     y = np.abs(sensing[:, x.support].conj() @ x.vector[x.support])
-    return MeasurementSet(sensing=sensing, y=y, lambda_sq=float(np.mean(y**2)))
+    return MeasurementSet(sensing=sensing, y=y)
+
+
+def sensing_layout(sensing) -> np.ndarray:
+    """The sensing matrix as a dump stores it (row-major <c16), uncopied if it is so already."""
+    return np.ascontiguousarray(sensing, dtype="<c16")
 
 
 def save_measurements(meas: MeasurementSet, path) -> None:
@@ -86,8 +93,8 @@ def save_measurements(meas: MeasurementSet, path) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<QQ", meas.n, meas.m))
-        f.write(np.ascontiguousarray(meas.sensing).astype("<c16").tobytes())
-        f.write(np.ascontiguousarray(meas.y).astype("<f8").tobytes())
+        f.write(sensing_layout(meas.sensing))
+        f.write(np.ascontiguousarray(meas.y, dtype="<f8"))
 
 
 def load_measurements(path) -> MeasurementSet:
@@ -118,4 +125,4 @@ def load_measurements(path) -> MeasurementSet:
         sensing, y = np.empty((m, n), dtype="<c16"), np.empty(m, dtype="<f8")
         if f.readinto(sensing) + f.readinto(y) != expected - header:
             raise ValueError(f"{path}: truncated file: it shrank while being read")
-    return MeasurementSet(sensing=sensing, y=y, lambda_sq=float(np.mean(y**2)))
+    return MeasurementSet(sensing=sensing, y=y)

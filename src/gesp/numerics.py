@@ -108,20 +108,20 @@ def structure_function(profile: MagnitudeProfile, p: int) -> float:
 
 
 def top_k_indices(values, k: int) -> np.ndarray:
-    """Indices of the k largest values, ties broken by smaller index first.
+    """Indices of the k largest values of each row, smaller index first on ties.
 
-    Returned sorted ascending, so the result is a canonical index set.
+    Returned sorted ascending, so each row's result is a canonical index set.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise ValueError("values must be 1-d")
+    if vals.ndim == 0:
+        raise ValueError("values must be a vector or a block of rows")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    if not 1 <= k <= vals.size:
-        raise ValueError(f"k must be in [1, {vals.size}], got {k}")
+    if not 1 <= k <= vals.shape[-1]:
+        raise ValueError(f"k must be in [1, {vals.shape[-1]}], got {k}")
     # stable sort on (-value, index): equal values keep ascending index order
-    order = np.argsort(-vals, kind="stable")
-    return np.sort(order[:k])
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
 
 
 def ceil_sqrt(k: int) -> int:

@@ -50,6 +50,8 @@ class PStrategy:
             raise ValueError(f"p_value is only valid for the fixed strategy, not {self.kind!r}")
         if self.variant not in P_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {P_VARIANTS}")
+        if self.kind != "known_structure" and self.variant != PStrategy.variant:
+            raise ValueError(f"variant is only valid for the known_structure strategy, not {self.kind!r}")
 
     @classmethod
     def fixed(cls, p: int) -> "PStrategy":
@@ -98,13 +100,12 @@ def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
 def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
     """Indices of the k largest-modulus entries of Z e0.  An n x c block e0
     takes one product, and row j of the c x k result is column j's S1."""
-    moduli = np.abs(spectrum.matvec(op, e0))
-    return top_k_indices(moduli, k) if moduli.ndim == 1 else np.array([top_k_indices(c, k) for c in moduli.T])
+    return top_k_indices(np.abs(spectrum.matvec(op, e0)).T, k)
 
 
-def step4_estimate(op: spectrum.SpectrumOperator, s1, lambda_sq: float) -> np.ndarray:
-    """Step 2's direction on S1, scaled to ||z||^2 = lambda_sq."""
-    return step2_direction(op, s1) * math.sqrt(lambda_sq)
+def step4_estimate(op: spectrum.SpectrumOperator, s1) -> np.ndarray:
+    """Step 2's direction on S1, scaled to ||z||^2 = the measurements' lambda_sq."""
+    return step2_direction(op, s1) * math.sqrt(op.meas.lambda_sq)
 
 
 def residual_score(meas: MeasurementSet, z) -> float:
@@ -121,7 +122,7 @@ def residual_score(meas: MeasurementSet, z) -> float:
 
 def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
     """Step 4 on the support s1, scored against the measurements."""
-    z = step4_estimate(op, s1, op.meas.lambda_sq)
+    z = step4_estimate(op, s1)
     return InitEstimate(z=z, support=s1, p_used=p_used, s0=s0, residual_score=residual_score(op.meas, z))
 
 

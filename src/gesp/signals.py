@@ -1,9 +1,9 @@
 """Generators for k-sparse ground-truth signals.
 
-Three stochastic models (gaussian / binary / exp_decay) plus two structured
-constructions (example1 / example2) whose squared-magnitude tiers realize
-prescribed structure-function values.  All models rescale to a target norm
-and draw from an explicit numpy Generator so trials are reproducible.
+Three stochastic models (gaussian / binary / exp_decay) and two structured
+ones (example1 / example2), whose squared-magnitude tiers realize prescribed
+structure-function values, rescaled to a target norm and drawn reproducibly
+from a numpy Generator.  A SparseSignal derives support and profile from x.
 """
 
 from __future__ import annotations
@@ -43,11 +43,15 @@ class SignalModelSpec:
 
 @dataclass(frozen=True)
 class SparseSignal:
-    """A k-sparse complex signal with its support and energy profile."""
+    """A k-sparse complex signal; its support is its nonzero entries' indices."""
 
     vector: np.ndarray
-    support: np.ndarray
-    profile: MagnitudeProfile = field(repr=False)
+    support: np.ndarray = field(init=False)
+    profile: MagnitudeProfile = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", np.flatnonzero(self.vector))
+        object.__setattr__(self, "profile", magnitude_profile(self.vector))
 
     @property
     def n(self) -> int:
@@ -133,4 +137,4 @@ def generate(spec: SignalModelSpec, rng: np.random.Generator) -> SparseSignal:
     vals *= spec.target_norm / np.linalg.norm(vals)
     x = np.zeros(spec.n, dtype=complex)
     x[support] = vals
-    return SparseSignal(vector=x, support=support, profile=magnitude_profile(x))
+    return SparseSignal(vector=x)

@@ -95,5 +95,4 @@ def expectation_oracle(x: SparseSignal) -> np.ndarray:
 
     Test-only helper; intended for small n.
     """
-    vec = x.vector
-    return np.outer(vec, vec.conj()) / (4.0 * x.norm_sq)
+    return np.outer(x.vector, x.vector.conj()) / (4.0 * x.norm_sq)

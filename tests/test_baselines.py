@@ -43,7 +43,7 @@ def _spike_signal(rng, n=128, k=8, dominant=0.999):
     vals = np.concatenate(([np.sqrt(dominant) * np.exp(2j * np.pi * rng.random())], small))
     x = np.zeros(n, dtype=complex)
     x[sup] = vals[rng.permutation(k)]
-    return SparseSignal(vector=x, support=sup, profile=magnitude_profile(x))
+    return SparseSignal(vector=x)
 
 
 class TestEsp:
@@ -163,7 +163,7 @@ class TestTruncatedPower:
         est = truncated_power_init(meas, k, 50)
         assert est.support.tolist() in cycle
         op = spectrum.build(meas, "exponential")
-        scores = [residual_score(meas, step4_estimate(op, np.array(c), meas.lambda_sq)) for c in cycle]
+        scores = [residual_score(meas, step4_estimate(op, np.array(c))) for c in cycle]
         assert est.residual_score == min(scores)
 
     def test_three_cycle_stops_and_keeps_smaller_residual(self, monkeypatch):
@@ -174,7 +174,7 @@ class TestTruncatedPower:
         start = int(diag_two_step_init(meas, 1).support[0])
         others = [j for j in range(meas.n) if j != start][:3]
         scores = {
-            j: residual_score(meas, step4_estimate(op, np.array([j]), meas.lambda_sq)) for j in others
+            j: residual_score(meas, step4_estimate(op, np.array([j]))) for j in others
         }
         worst, middle, best = sorted(others, key=scores.get, reverse=True)
         a, b, c = worst, best, middle  # the best support is neither first nor last in the cycle
@@ -209,7 +209,7 @@ def _initializers(k, profile):
 def test_all_zero_observations_raise(name):
     # lambda_sq = 0: no estimate can have ||z||^2 = lambda_sq and k nonzeros
     rng = np.random.default_rng(70)
-    meas = MeasurementSet(sensing=sample_sensing(20, 30, rng), y=np.zeros(30), lambda_sq=0.0)
+    meas = MeasurementSet(sensing=sample_sensing(20, 30, rng), y=np.zeros(30))
     init = _initializers(4, magnitude_profile(np.ones(4)))[name]
     with pytest.raises(ValueError, match="lambda_sq is zero"):
         init(meas, 4)

@@ -106,6 +106,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="iters must be >= 1"):
             AlgorithmSpec(name="truncated_power", tpm_iters=0)
 
+    @pytest.mark.parametrize("name, strategy", [
+        ("esp", PStrategy.full_k()), ("diag_two_step", PStrategy.sqrt_k()),
+        ("truncated_power", PStrategy.fixed(1)),
+    ])
+    def test_strategy_only_for_gesp(self, name, strategy):
+        # esp with a strategy used to build, run esp and ignore the strategy
+        with pytest.raises(ConfigError, match="a strategy is for gesp only, and gesp needs one"):
+            AlgorithmSpec(name=name, strategy=strategy)
+
+    def test_gesp_without_strategy_rejected_by_constructor(self):
+        with pytest.raises(ConfigError, match="gesp needs one"):
+            AlgorithmSpec(name="gesp")
+
     def test_gesp_needs_strategy(self):
         with pytest.raises(ConfigError):
             config_from_dict({

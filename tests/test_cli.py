@@ -1,10 +1,13 @@
+import hashlib
 import json
 import pathlib
 import re
 
 import pytest
 
+from gesp.bench import build_trial_instance, load_config
 from gesp.cli import BLAS_THREAD_VARS, cli_main
+from gesp.measurement import save_measurements
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -146,6 +149,15 @@ class TestSingle:
         assert "sensing sha256=" in first
         assert "S0=" in first and "S1=" in first
         assert "||x_S0||^2/||x||^2=" in first
+
+    def test_sensing_digest_is_the_dumps_sensing_bytes(self, tmp_path, capsys):
+        config = _small_config(tmp_path)
+        assert cli_main(["single", "--config", str(config), "--ratio", "0.5", "--trial", "1", "--verbose"]) == 0
+        printed = re.search(r"^sensing sha256=([0-9a-f]{64})$", capsys.readouterr().out, re.M).group(1)
+        _, _, meas = build_trial_instance(load_config(config), 0, 1)
+        save_measurements(meas, tmp_path / "meas.bin")
+        sensing_bytes = (tmp_path / "meas.bin").read_bytes()[21:21 + 16 * meas.m * meas.n]
+        assert printed == hashlib.sha256(sensing_bytes).hexdigest()
 
     def test_ratio_must_be_configured(self, tmp_path, capsys):
         config = _small_config(tmp_path)

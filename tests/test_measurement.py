@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gesp.measurement import MeasurementSet, load_measurements, measure, sample_sensing, save_measurements
-from gesp.numerics import magnitude_profile
 from gesp.signals import SignalModelSpec, SparseSignal, generate
 
 
@@ -24,12 +23,7 @@ def _peak_bytes(build):
 
 
 def _signal_from_vector(x):
-    x = np.asarray(x, dtype=complex)
-    return SparseSignal(
-        vector=x,
-        support=np.flatnonzero(x),
-        profile=magnitude_profile(x),
-    )
+    return SparseSignal(vector=np.asarray(x, dtype=complex))
 
 
 class TestSampleSensing:
@@ -70,7 +64,7 @@ class TestAbsSq:
     ])
     def test_bitwise_equal_to_sum_of_squares(self, n, m):
         sensing = sample_sensing(n, m, np.random.default_rng(110))
-        abs_sq = MeasurementSet(sensing=sensing, y=np.ones(m), lambda_sq=1.0).abs_sq
+        abs_sq = MeasurementSet(sensing=sensing, y=np.ones(m)).abs_sq
         direct = sensing.real**2 + sensing.imag**2
         assert abs_sq.shape == (m, n)
         assert np.array_equal(abs_sq.view(np.uint64), direct.view(np.uint64))
@@ -79,7 +73,7 @@ class TestAbsSq:
         # real**2 + imag**2 held two m x n float arrays at once
         n = m = 400
         sensing, y = sample_sensing(n, m, np.random.default_rng(111)), np.ones(m)
-        meas, peak = _peak_bytes(lambda: MeasurementSet(sensing=sensing, y=y, lambda_sq=1.0))
+        meas, peak = _peak_bytes(lambda: MeasurementSet(sensing=sensing, y=y))
         assert peak <= meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
 
 
@@ -211,33 +205,61 @@ class TestBinaryDump:
         meas, peak = _peak_bytes(lambda: load_measurements(path))
         assert peak <= meas.sensing.nbytes + meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
 
+    def test_save_copies_nothing(self, tmp_path):
+        # .astype("<c16").tobytes() held two copies of the sensing matrix (5.12 MB here)
+        n = m = 400
+        rng = np.random.default_rng(113)
+        meas = measure(generate(SignalModelSpec(model="gaussian", n=n, k=4), rng), sample_sensing(n, m, rng))
+        path = tmp_path / "meas.bin"
+        _, peak = _peak_bytes(lambda: save_measurements(meas, path))
+        assert peak <= 64 * 1024
+        assert path.stat().st_size == 21 + 16 * m * n + 8 * m
+
 
 class TestMeasurementSetChecks:
     def _parts(self):
-        sensing = np.ones((3, 2), dtype=complex)
-        y = np.array([1.0, 0.5, 2.0])
-        return sensing, y, float(np.mean(y**2))
+        return np.ones((3, 2), dtype=complex), np.array([1.0, 0.5, 2.0])
 
     def test_valid_set_accepted(self):
-        sensing, y, lam = self._parts()
-        assert MeasurementSet(sensing=sensing, y=y, lambda_sq=lam).m == 3
+        sensing, y = self._parts()
+        assert MeasurementSet(sensing=sensing, y=y).m == 3
 
-    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
-    def test_bad_lambda_sq(self, lam):
-        sensing, y, _ = self._parts()
+    def test_bad_lambda_sq(self):
+        # y is finite, but its mean square overflows
         with pytest.raises(ValueError, match="lambda_sq"):
-            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
+            MeasurementSet(sensing=np.ones((1, 2), dtype=complex), y=np.array([1e200]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_y(self, bad):
-        sensing, y, lam = self._parts()
+        sensing, y = self._parts()
         y[1] = bad
         with pytest.raises(ValueError, match="^y has"):
-            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
+            MeasurementSet(sensing=sensing, y=y)
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
     def test_non_finite_sensing(self, bad):
-        sensing, y, lam = self._parts()
+        sensing, y = self._parts()
         sensing[2, 1] = bad
         with pytest.raises(ValueError, match="^sensing has non-finite"):
-            MeasurementSet(sensing=sensing, y=y, lambda_sq=lam)
+            MeasurementSet(sensing=sensing, y=y)
+
+
+class TestDerivedLambdaSq:
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).tobytes()
+
+    def test_bit_equal_to_mean_square_after_measure_and_load(self, tmp_path):
+        rng = np.random.default_rng(114)
+        sig = generate(SignalModelSpec(model="exp_decay", n=30, k=7), rng)
+        meas = measure(sig, sample_sensing(30, 45, rng))
+        assert self._bits(meas.lambda_sq) == self._bits(np.mean(meas.y**2))
+        path = tmp_path / "meas.bin"
+        save_measurements(meas, path)
+        loaded = load_measurements(path)
+        assert self._bits(loaded.lambda_sq) == self._bits(np.mean(loaded.y**2))
+
+    def test_lambda_sq_cannot_be_passed(self):
+        # a lambda_sq that disagreed with y used to be accepted and scaled every estimate
+        with pytest.raises(TypeError, match="unexpected keyword argument 'lambda_sq'"):
+            MeasurementSet(sensing=np.ones((1, 2), dtype=complex), y=np.array([1.0]), lambda_sq=5.0)

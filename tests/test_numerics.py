@@ -181,9 +181,19 @@ class TestTopK:
             k = int(rng.integers(1, 30))
             assert top_k_indices(values, k).tolist() == topk_sorted(values, k).tolist()
 
+    @pytest.mark.parametrize("rows, n, k", [(64, 128, 64), (10, 1000, 10), (10, 200, 10)])
+    def test_block_ranks_each_row_as_a_vector(self, rows, n, k):
+        # few distinct values, so most rows have ties at the k-th place
+        values = np.random.default_rng(8).integers(0, 4, size=(rows, n)).astype(float)
+        got = top_k_indices(values, k)
+        assert got.shape == (rows, k)
+        assert np.array_equal(got, np.array([topk_sorted(row, k) for row in values]))
+
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):
             top_k_indices([1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            top_k_indices(np.ones((5, 2)), 3)
 
 
 class TestCeilSqrt:

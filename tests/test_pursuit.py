@@ -77,7 +77,7 @@ class TestSteps:
     def test_step3_constant_modulus_tie_break(self):
         # one all-ones measurement row makes |Z e_j| constant across entries
         x_row = np.ones((1, 6), dtype=complex)
-        meas = MeasurementSet(sensing=x_row, y=np.array([2.0]), lambda_sq=4.0)
+        meas = MeasurementSet(sensing=x_row, y=np.array([2.0]))
         op = spectrum.build(meas, "exponential")
         e0 = np.zeros(6, dtype=complex)
         e0[3] = 1.0
@@ -88,7 +88,7 @@ class TestSteps:
             _, meas = _instance(seed)
             op = spectrum.build(meas, "exponential")
             s1 = np.array([0, 2, 5])
-            z = step4_estimate(op, s1, meas.lambda_sq)
+            z = step4_estimate(op, s1)
             assert np.linalg.norm(z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-10)
             assert set(np.flatnonzero(z)) <= set(s1.tolist())
 
@@ -155,6 +155,13 @@ class TestStrategies:
         with pytest.raises(ValueError):
             PStrategy.known_structure("corollary")
 
+    @pytest.mark.parametrize("kind, p_value", [("fixed", 2), ("sqrt_k", None), ("full_k", None), ("ensemble", None)])
+    def test_variant_rejected_where_ignored(self, kind, p_value):
+        # only known_structure reads the variant; "capped" used to be accepted and ignored
+        with pytest.raises(ValueError, match="variant is only valid for the known_structure strategy"):
+            PStrategy(kind, p_value, "capped")
+        assert PStrategy(kind, p_value).variant == "global"
+
     def test_ensemble_dominates_every_fixed_width(self):
         for seed in range(5):
             _, meas = _instance(seed + 40, n=16, k=5, m=64)
@@ -205,7 +212,7 @@ class TestStrategies:
         finished = []
         step4 = pursuit.step4_estimate
         monkeypatch.setattr(
-            pursuit, "step4_estimate", lambda op, s1, lam: finished.append(s1.tobytes()) or step4(op, s1, lam)
+            pursuit, "step4_estimate", lambda op, s1: finished.append(s1.tobytes()) or step4(op, s1)
         )
         assert gesp(meas, 5, PStrategy.ensemble()).z.tobytes() == est.z.tobytes()
         assert sorted(finished) == sorted(supports) and len(supports) < 5
@@ -267,12 +274,9 @@ class TestPipelineInvariants:
         sig = generate(SignalModelSpec(model="gaussian", n=16, k=4), rng)
         sensing = sample_sensing(16, 90, rng)
         rotated_vec = np.exp(0.7j) * sig.vector
-        from gesp.numerics import magnitude_profile
         from gesp.signals import SparseSignal
 
-        rotated = SparseSignal(
-            vector=rotated_vec, support=sig.support, profile=magnitude_profile(rotated_vec)
-        )
+        rotated = SparseSignal(vector=rotated_vec)
         est_a = gesp(measure(sig, sensing), 4, PStrategy.full_k())
         est_b = gesp(measure(rotated, sensing), 4, PStrategy.full_k())
         assert est_a.support.tolist() == est_b.support.tolist()

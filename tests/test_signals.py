@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesp.numerics import magnitude_profile, structure_function
-from gesp.signals import SignalModelSpec, _int_root, generate, sample_support
+from gesp.signals import SignalModelSpec, SparseSignal, _int_root, generate, sample_support
 
 # frozen from explicit evaluation of the k=16 three-tier table
 # (2 entries, 2 entries, 12 entries; unit total energy)
@@ -89,6 +89,29 @@ class TestGenerate:
             assert np.count_nonzero(sig.vector) == k
             outside = np.delete(sig.vector, sig.support)
             assert np.all(outside == 0)
+
+    @pytest.mark.parametrize("model,n,k", [
+        ("gaussian", 50, 7),
+        ("binary", 50, 7),
+        ("exp_decay", 50, 7),
+        ("example1", 80, 64),
+        ("example2", 40, 16),
+    ])
+    def test_support_and_profile_derived_from_vector(self, model, n, k):
+        # generate draws the support first, so a generator on the same seed redraws it
+        for seed in range(3):
+            sig = generate(SignalModelSpec(model=model, n=n, k=k), np.random.default_rng(seed))
+            drawn = sample_support(n, k, np.random.default_rng(seed))
+            assert np.array_equal(sig.support, drawn)
+            profile = magnitude_profile(sig.vector)
+            assert np.array_equal(sig.profile.sorted_sq_mags, profile.sorted_sq_mags)
+            assert sig.profile.total_energy == profile.total_energy
+
+    @pytest.mark.parametrize("name", ["support", "profile"])
+    def test_derived_values_cannot_be_passed(self, name):
+        x = np.array([0.0, 1.0 + 1.0j, 0.0])
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            SparseSignal(vector=x, **{name: getattr(SparseSignal(vector=x), name)})
 
     def test_profile_consistent_with_vector(self):
         rng = np.random.default_rng(11)

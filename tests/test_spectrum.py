@@ -17,27 +17,22 @@ def _instance(seed, n=8, k=3, m=50):
 
 class TestBuild:
     def test_zero_modulus_weight(self):
-        meas = MeasurementSet(
-            sensing=np.ones((2, 3), dtype=complex),
-            y=np.array([0.0, 1.0]),
-            lambda_sq=0.5,
-        )
+        meas = MeasurementSet(sensing=np.ones((2, 3), dtype=complex), y=np.array([0.0, 1.0]))
         op = build(meas, "exponential")
         assert op.weights[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_log2_crossing(self):
-        # y^2 = lambda_sq * ln 2 makes the weight vanish
-        lam = 0.8
-        y = np.array([np.sqrt(lam * np.log(2.0))])
-        meas = MeasurementSet(sensing=np.ones((1, 2), dtype=complex), y=y, lambda_sq=lam)
+        # y^2 = lambda_sq * ln 2 makes the weight vanish: y^2 = [ln 2, 2 - ln 2]
+        # has mean square lambda_sq = 1
+        y = np.sqrt([np.log(2.0), 2.0 - np.log(2.0)])
+        meas = MeasurementSet(sensing=np.ones((2, 2), dtype=complex), y=y)
         assert build(meas, "exponential").weights[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_large_modulus_limit(self):
-        meas = MeasurementSet(
-            sensing=np.ones((1, 2), dtype=complex),
-            y=np.array([40.0]),
-            lambda_sq=1.0,
-        )
+        # y = 40 among 49 zeros: lambda_sq = 32, so y_0^2 / lambda_sq = 50
+        y = np.zeros(50)
+        y[0] = 40.0
+        meas = MeasurementSet(sensing=np.ones((50, 2), dtype=complex), y=y)
         assert build(meas, "exponential").weights[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_weight_ranges(self):
@@ -49,11 +44,7 @@ class TestBuild:
         assert np.allclose(quad, meas.y**2)
 
     def test_degenerate_measurements_rejected(self):
-        meas = MeasurementSet(
-            sensing=np.ones((2, 2), dtype=complex),
-            y=np.zeros(2),
-            lambda_sq=0.0,
-        )
+        meas = MeasurementSet(sensing=np.ones((2, 2), dtype=complex), y=np.zeros(2))
         with pytest.raises(ValueError):
             build(meas, "exponential")
 
@@ -61,11 +52,7 @@ class TestBuild:
 class TestDenseOracleAgreement:
     def test_constant_row(self):
         # single all-ones row: every diagonal entry equals the weight
-        meas = MeasurementSet(
-            sensing=np.ones((1, 4), dtype=complex),
-            y=np.array([2.0]),
-            lambda_sq=4.0,
-        )
+        meas = MeasurementSet(sensing=np.ones((1, 4), dtype=complex), y=np.array([2.0]))
         op = build(meas, "exponential")
         w = 0.5 - np.exp(-1.0)
         assert np.allclose(diagonal(op), w, rtol=1e-14)
@@ -179,12 +166,11 @@ class TestOperatorProperties:
 
 class TestExpectationOracle:
     def test_basis_signal(self):
-        from gesp.numerics import magnitude_profile
         from gesp.signals import SparseSignal
 
         x = np.zeros(4, dtype=complex)
         x[0] = 1.0
-        basis = SparseSignal(vector=x, support=np.array([0]), profile=magnitude_profile(x))
+        basis = SparseSignal(vector=x)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 0.25
         assert np.array_equal(expectation_oracle(basis), expected)
