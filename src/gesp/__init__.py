@@ -12,7 +12,7 @@ from .bench import (
     write_csv,
     write_plot_data,
 )
-from .eigensolver import EigResult, max_eigvec
+from .eigensolver import max_eigvec
 from .measurement import MeasurementSet, load_measurements, measure, sample_sensing, save_measurements
 from .numerics import (
     MagnitudeProfile,

@@ -155,11 +155,9 @@ class AggregateStats:
     count: int
 
 
-_TOP_KEYS = (
-    "schema_version", "n", "k", "ratios", "trials", "base_seed", "signal",
-    "algorithms", "threads", "out_path", "record_runtime",
-)
-_SIGNAL_KEYS = ("model", "decay", "target_norm")
+# n and k sit at the top level, not in the signal object
+_TOP_KEYS = ("schema_version", "n", "k", *(field.name for field in fields(BenchConfig)))
+_SIGNAL_KEYS = tuple(field.name for field in fields(SignalModelSpec) if field.name not in ("n", "k"))
 # The keys an algorithm entry may carry: by strategy for gesp, else by name.
 _ENTRY_KEYS = {
     "fixed": ("algorithm", "strategy", "p"),

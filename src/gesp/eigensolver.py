@@ -1,4 +1,4 @@
-"""Maximal eigenpair of a small Hermitian matrix via one dense LAPACK solve.
+"""Maximal eigenvector of a small Hermitian matrix via one dense LAPACK solve.
 
 "Maximal" means the largest *algebraic* eigenvalue, not the largest in
 magnitude: the mean spectrum is positive semidefinite rank-one, so the
@@ -15,19 +15,9 @@ numpy/BLAS build.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 TOL = 1e-10  # the largest accepted residual ||M v - tau v|| / max(1, |tau|)
-
-
-@dataclass(frozen=True)
-class EigResult:
-    eigenvalue: float
-    eigenvector: np.ndarray  # unit norm, phase-canonical
-    residual: float
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -42,16 +32,16 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_eigvec(mat) -> EigResult:
-    """Eigenpair of the largest algebraic eigenvalue of a Hermitian matrix.
+def max_eigvec(mat) -> np.ndarray:
+    """Unit, phase-canonical eigenvector of the largest algebraic eigenvalue
+    of a Hermitian matrix.
 
     One `np.linalg.eigh` call on the matrix (its lower triangle is read);
     eigh sorts eigenvalues in ascending order, so the last column is the
-    maximal eigenvector.  The vector is rotated to a canonical global phase
-    and the eigenvalue reported is its Rayleigh quotient tau.  The residual
-    ||M v - tau v|| must be at most TOL * max(1, |tau|), or
-    np.linalg.LinAlgError is raised: a larger residual means the input was
-    not Hermitian or not finite.
+    maximal eigenvector.  The vector is rotated to a canonical global phase.
+    With tau its Rayleigh quotient, the residual ||M v - tau v|| must be at
+    most TOL * max(1, |tau|), or np.linalg.LinAlgError is raised: a larger
+    residual means the input was not Hermitian or not finite.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -61,8 +51,7 @@ def max_eigvec(mat) -> EigResult:
     v = _canonical_phase(vectors[:, -1])
     mv = m @ v
     tau = float(np.vdot(v, mv).real)
-    diff = mv - tau * v
-    residual = math.sqrt(float(np.vdot(diff, diff).real))
+    residual = float(np.linalg.norm(mv - tau * v))
     if not residual <= TOL * max(1.0, abs(tau)):
         raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {TOL:.1e} * max(1, |{tau:.6g}|)")
-    return EigResult(eigenvalue=tau, eigenvector=v, residual=residual)
+    return v

@@ -30,6 +30,10 @@ class MeasurementSet:
     abs_sq: np.ndarray = field(init=False, repr=False, compare=False)  # m x n |a_ij|^2
 
     def __post_init__(self):
+        if not np.issubdtype(self.sensing.dtype, np.inexact):
+            raise ValueError(f"sensing must be floating or complex, got dtype {self.sensing.dtype}")
+        if not np.issubdtype(self.y.dtype, np.floating):  # an integer y**2 wraps, not overflows
+            raise ValueError(f"y must be floating, got dtype {self.y.dtype}")
         if self.sensing.ndim != 2:
             raise ValueError("sensing must be an m x n array")
         if self.y.shape != (self.sensing.shape[0],):

@@ -83,17 +83,11 @@ class InitEstimate:
     residual_score: float  # measurement consistency of z
 
 
-def step1_select_s0(diag, p: int) -> np.ndarray:
-    """Indices of the p largest diagonal entries of the spectrum."""
-    return top_k_indices(diag, p)
-
-
 def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
     """Unit maximal eigenvector of Z_{S0}, embedded into n dimensions."""
     s0 = np.asarray(s0, dtype=int)
-    res = max_eigvec(spectrum.submatrix(op, s0))
     e0 = np.zeros(op.meas.n, dtype=complex)
-    e0[s0] = res.eigenvector
+    e0[s0] = max_eigvec(spectrum.submatrix(op, s0))
     return e0
 
 
@@ -160,7 +154,7 @@ def gesp(
     widths = range(1 if strategy.kind == "ensemble" else p, p + 1)
     op = spectrum.build(meas, "exponential")
     diag = spectrum.diagonal(op)
-    s0s = [step1_select_s0(diag, w) for w in widths]
+    s0s = [top_k_indices(diag, w) for w in widths]  # step 1
     s1s = step3_select_s1(op, np.column_stack([step2_direction(op, s0) for s0 in s0s]), k)
     finished = {}  # S1 bytes -> its estimate at the smallest width selecting it
     for w, s0, s1 in zip(widths, s0s, s1s):

@@ -33,8 +33,12 @@ class SignalModelSpec:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 < self.target_norm < math.inf:
             raise ValueError(f"target_norm must be finite and positive, got {self.target_norm}")
-        if self.model == "exp_decay" and not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {self.decay}")
+        if self.model == "exp_decay":
+            if not 0.0 < self.decay < 1.0:
+                raise ValueError(f"decay must be in (0, 1), got {self.decay}")
+            # generate scales decay^(k-1), the smallest squared magnitude, by at least target_norm^2 (1 - decay)
+            if self.decay ** (self.k - 1) * self.target_norm * self.target_norm * (1 - self.decay) == 0:
+                raise ValueError(f"decay={self.decay} at k={self.k} underflows: decay^(k-1) scaled to target_norm is 0")
         if self.model == "example1" and not (_int_root(self.k, 2) and _int_root(self.k, 6)):
             raise ValueError(f"example1 requires integer sqrt(k) and k^(1/6), got k={self.k}")
         if self.model == "example2" and not (_int_root(self.k, 2) and _int_root(self.k, 4)):

@@ -118,13 +118,14 @@ def per_width_pursuit(meas, k, widths):
     step 4 and the residual at every width, and the smallest residual kept,
     the smallest width on ties."""
     from gesp import spectrum
-    from gesp.pursuit import _finish, step1_select_s0, step2_direction, step3_select_s1
+    from gesp.numerics import top_k_indices
+    from gesp.pursuit import _finish, step2_direction, step3_select_s1
 
     op = spectrum.build(meas, "exponential")
     diag = spectrum.diagonal(op)
 
     def run_with_p(p):
-        s0 = step1_select_s0(diag, p)
+        s0 = top_k_indices(diag, p)
         e0 = step2_direction(op, s0)
         return _finish(op, step3_select_s1(op, e0, k), p, s0)
 

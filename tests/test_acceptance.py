@@ -18,8 +18,8 @@ from gesp import spectrum
 from gesp.baselines import diag_two_step_init, esp_init, truncated_power_init
 from gesp.bench import AlgorithmSpec, BenchConfig, aggregate, load_config, run_sweep, write_csv
 from gesp.measurement import measure, sample_sensing
-from gesp.numerics import dist, p_objective, p_opt, structure_function
-from gesp.pursuit import PStrategy, gesp, step1_select_s0, step2_direction
+from gesp.numerics import dist, p_objective, p_opt, structure_function, top_k_indices
+from gesp.pursuit import PStrategy, gesp, step2_direction
 from gesp.signals import SignalModelSpec, generate
 
 from oracles import dense_expo_weights, dense_spectrum, dense_pursuit, phase_aligned_gap, topk_sorted
@@ -200,7 +200,7 @@ def test_criterion_6_stage_statistics():
         meas = measure(sig, sample_sensing(n, 2000, rng))
         p = p_opt(sig.profile, k, "global")
         op = spectrum.build(meas, "exponential")
-        s0 = step1_select_s0(spectrum.diagonal(op), p)
+        s0 = top_k_indices(spectrum.diagonal(op), p)
         captured = float(np.sum(np.abs(sig.vector[s0]) ** 2))
         hits_a += captured >= sig.norm_sq / (2.0 * structure_function(sig.profile, p))
         e0 = step2_direction(op, s0)

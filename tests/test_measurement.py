@@ -243,6 +243,17 @@ class TestMeasurementSetChecks:
         with pytest.raises(ValueError, match="^sensing has non-finite"):
             MeasurementSet(sensing=sensing, y=y)
 
+    @pytest.mark.parametrize("sensing, y, message", [
+        # y**2 wrapped in int64: lambda_sq came out 0.5, not the true mean square 9.2e18
+        (np.ones((2, 2), complex), np.array([2**32, 1]), "^y must be floating, got dtype int64"),
+        (np.ones((2, 2), complex), np.array([True, False]), "^y must be floating, got dtype bool"),
+        (np.ones((2, 2), int), np.array([1.0, 2.0]), "^sensing must be floating or complex, got dtype int64"),
+        (np.ones((2, 2), bool), np.array([1.0, 2.0]), "^sensing must be floating or complex, got dtype bool"),
+    ], ids=["int-y", "bool-y", "int-sensing", "bool-sensing"])
+    def test_non_float_dtype_rejected(self, sensing, y, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementSet(sensing, y)
+
 
 class TestDerivedLambdaSq:
     @staticmethod

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from gesp import pursuit, spectrum
 from gesp.measurement import MeasurementSet, measure, sample_sensing
-from gesp.numerics import p_opt, relative_error
+from gesp.numerics import p_opt, relative_error, top_k_indices
 from gesp.pursuit import (
     PStrategy,
     gesp,
     residual_score,
-    step1_select_s0,
     step2_direction,
     step3_select_s1,
     step4_estimate,
@@ -37,10 +36,10 @@ def _instance(seed, n=8, k=3, m=50, model="gaussian"):
 
 class TestSteps:
     def test_step1_picks_largest_diagonal(self):
-        assert step1_select_s0([0.1, 0.5, 0.3], 2).tolist() == [1, 2]
+        assert top_k_indices([0.1, 0.5, 0.3], 2).tolist() == [1, 2]
 
     def test_step1_full_width(self):
-        assert step1_select_s0([0.1, 0.5, 0.3], 3).tolist() == [0, 1, 2]
+        assert top_k_indices([0.1, 0.5, 0.3], 3).tolist() == [0, 1, 2]
 
     def test_step2_singleton_is_basis_vector(self):
         _, meas = _instance(0)
@@ -54,7 +53,7 @@ class TestSteps:
         for seed in range(10):
             _, meas = _instance(seed)
             op = spectrum.build(meas, "exponential")
-            s0 = step1_select_s0(spectrum.diagonal(op), 3)
+            s0 = top_k_indices(spectrum.diagonal(op), 3)
             e0 = step2_direction(op, s0)
             dense = dense_spectrum(meas.sensing, dense_expo_weights(meas.y))
             _, ref_local = jacobi_max_eigvec(dense[np.ix_(s0, s0)])
@@ -193,7 +192,7 @@ class TestStrategies:
         _, meas = _instance(37, n=16, k=5, m=80)
         op = spectrum.build(meas, "exponential")
         diag = spectrum.diagonal(op)
-        block = np.column_stack([step2_direction(op, step1_select_s0(diag, p)) for p in range(1, 6)])
+        block = np.column_stack([step2_direction(op, top_k_indices(diag, p)) for p in range(1, 6)])
         rows = step3_select_s1(op, block, 5)
         assert rows.shape == (5, 5)
         for j in range(5):
@@ -207,7 +206,7 @@ class TestStrategies:
         op = spectrum.build(meas, "exponential")
         diag = spectrum.diagonal(op)
         supports = {
-            step3_select_s1(op, step2_direction(op, step1_select_s0(diag, p)), 5).tobytes() for p in range(1, 6)
+            step3_select_s1(op, step2_direction(op, top_k_indices(diag, p)), 5).tobytes() for p in range(1, 6)
         }
         finished = []
         step4 = pursuit.step4_estimate
@@ -251,6 +250,23 @@ def test_scan_matches_per_width_loop(edge, n, seed):
         assert got.p_used == want.p_used, strat
         assert got.s0.tolist() == want.s0.tolist(), strat
         assert got.residual_score == want.residual_score, strat
+
+
+@pytest.mark.xfail(strict=True, reason="step 3's block product and a one-column product round |Z e0| "
+                   "differently in the last bit, and an exact tie turns that into another S1")
+def test_ensemble_is_its_winning_widths_run_on_exact_ties():
+    # all-ones sensing: the ensemble wins at p = 1 with S1 = [0..7], while the
+    # fixed run at p = 1 picks [0..6, 8] at the same residual
+    rng = np.random.default_rng(0)
+    n = 9
+    k = int(rng.integers(1, n + 1))
+    m = int(rng.integers(1, 4 * n + 1))
+    sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
+    meas = measure(sig, np.ones((m, n), dtype=complex))
+    got = gesp(meas, k, PStrategy.ensemble())
+    want = gesp(meas, k, PStrategy.fixed(got.p_used))
+    assert got.support.tolist() == want.support.tolist()
+    assert got.z.tobytes() == want.z.tobytes()
 
 
 class TestPipelineInvariants:

@@ -60,6 +60,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalModelSpec(model="exp_decay", n=16, k=4, decay=1.0)
 
+    @pytest.mark.parametrize("k, decay, norm", [
+        (200, 1e-5, 1.0), (3000, 0.7, 1.0), (2088, 0.7, 1.0), (2000, 0.7, 1e-10),
+    ])
+    def test_exp_decay_underflow_rejected(self, k, decay, norm):
+        # decay^(k-1) is 0 in the first two cases: generate used to give 65 and
+        # 2090 nonzeros, not k; in the last two it is nonzero, but scaled to
+        # target_norm its square is 0: the profile used to hold 1 and 43 zero
+        # energies inside the support
+        with pytest.raises(ValueError, match=f"decay={decay} at k={k} underflows"):
+            SignalModelSpec(model="exp_decay", n=k, k=k, decay=decay, target_norm=norm)
+
+    def test_exp_decay_largest_k_kept(self):
+        # the default decay's largest accepted k keeps a positive energy in every entry
+        sig = generate(SignalModelSpec(model="exp_decay", n=2087, k=2087), np.random.default_rng(0))
+        assert sig.k == 2087 and np.all(sig.profile.sorted_sq_mags > 0)
+
     @pytest.mark.parametrize("norm", [float("nan"), float("inf"), 0.0, -1.0])
     def test_target_norm_finite_and_positive(self, norm):
         # NaN and inf used to be accepted and fail later in generate
