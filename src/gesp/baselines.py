@@ -72,16 +72,18 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -
     op = spectrum.build(meas, "exponential")
     v = step2_direction(quad, s0)
     path, cycle = [s0], None  # the supports visited, in order
+    first = {s0.tobytes(): 0}  # support bytes -> its index in path
     for _ in range(iters):
         w = spectrum.matvec(op, v)
         keep = top_k_indices(np.abs(w), k)
         norm = np.linalg.norm(w[keep])
         if norm == 0.0:
             break
-        repeats = [i for i, s in enumerate(path) if np.array_equal(s, keep)]
-        if repeats:
-            cycle = path[repeats[0]:]
+        key = keep.tobytes()
+        if key in first:
+            cycle = path[first[key]:]
             break
+        first[key] = len(path)
         path.append(keep)
         v = np.zeros(meas.n, dtype=complex)
         v[keep] = w[keep] / norm

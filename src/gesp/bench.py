@@ -190,7 +190,7 @@ def _float(value, where: str) -> float:
     return float(value)
 
 
-def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
+def _parse_algorithm(entry, where: str, k: int) -> AlgorithmSpec:
     if not isinstance(entry, dict) or "algorithm" not in entry:
         raise ConfigError(f"{where} must be an object with an 'algorithm' key: {entry!r}")
     name, kind = entry["algorithm"], entry.get("strategy")
@@ -202,6 +202,8 @@ def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
         _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
     try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
+        if p is not None and p > k:  # gesp would flag every record of the entry
+            raise ConfigError(f"{where}.p = {p} exceeds k = {k}")
         strategy = PStrategy(kind, p, entry.get("variant", PStrategy.variant)) if name == "gesp" else None
         iters = _int(entry.get("iters", AlgorithmSpec.tpm_iters), f"{where}.iters")
         return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
@@ -224,9 +226,10 @@ def load_config(path) -> BenchConfig:
 def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
     top level, `signal`, `algorithms[i]`); integers must be integral and not
-    bools, `record_runtime` a bool, `out_path` a string, and `base_seed` in
-    [0, 2^64).  Each error names the offending key.  `n` and `k` go to the
-    signal; a missing optional key takes the default of its dataclass field."""
+    bools, `record_runtime` a bool, `out_path` a string, a gesp `fixed` p at
+    most k, and `base_seed` in [0, 2^64).  Each error names the offending key.
+    `n` and `k` go to the signal; a missing optional key takes the default of
+    its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -256,7 +259,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
             trials=_int(raw["trials"], "trials"),
             base_seed=_int(raw["base_seed"], "base_seed"),
             signal=signal,
-            algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(raw["algorithms"])),
+            algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]", k) for i, a in enumerate(raw["algorithms"])),
             threads=_int(raw.get("threads", BenchConfig.threads), "threads"),
             out_path=out_path,
             record_runtime=record_runtime,
@@ -310,7 +313,7 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
         try:
             est = run_algorithm(algo, meas, config.k, sig)
             fields["runtime_ms"] = (clock() - start) * 1e3
-            overlap = np.intersect1d(est.support, sig.support).size
+            overlap = len(set(est.support.tolist()) & set(sig.support.tolist()))
             fields.update(
                 p_used=est.p_used,
                 relative_error=relative_error(est.z, x),

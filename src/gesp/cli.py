@@ -87,6 +87,9 @@ def _cmd_run(args) -> int:
     records = bench.run_sweep(config)
     bench.write_csv(records, config.out_path)
     print(f"wrote {len(records)} records to {config.out_path}")
+    errors = sum(rec.error_flag for rec in records)
+    if errors:
+        print(f"{errors} of {len(records)} records have error_flag 1", file=sys.stderr)
     if args.plot_out:
         bench.write_plot_data(bench.aggregate(records), args.plot_out)
         print(f"wrote plot data to {args.plot_out}")

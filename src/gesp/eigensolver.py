@@ -38,9 +38,9 @@ def max_eigvec(mat) -> np.ndarray:
 
     One `np.linalg.eigh` call on the matrix (its lower triangle is read);
     eigh sorts eigenvalues in ascending order, so the last column is the
-    maximal eigenvector.  The vector is rotated to a canonical global phase.
-    With tau its Rayleigh quotient, the residual ||M v - tau v|| must be at
-    most TOL * max(1, |tau|), or np.linalg.LinAlgError is raised: a larger
+    maximal eigenvector, rotated to a canonical global phase.  With tau its
+    Rayleigh quotient, the residual norm sqrt(r* r), r = M v - tau v, must be
+    at most TOL * max(1, |tau|), or np.linalg.LinAlgError is raised: a larger
     residual means the input was not Hermitian or not finite.
     """
     m = np.asarray(mat, dtype=complex)
@@ -51,7 +51,8 @@ def max_eigvec(mat) -> np.ndarray:
     v = _canonical_phase(vectors[:, -1])
     mv = m @ v
     tau = float(np.vdot(v, mv).real)
-    residual = float(np.linalg.norm(mv - tau * v))
+    r = mv - tau * v
+    residual = float(np.sqrt(np.vdot(r, r).real))
     if not residual <= TOL * max(1.0, abs(tau)):
         raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {TOL:.1e} * max(1, |{tau:.6g}|)")
     return v

@@ -54,7 +54,7 @@ def _as_complex_vec(x, name="vector"):
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -66,8 +66,10 @@ def dist(u, v) -> float:
     sqrt(||u||^2 + ||v||^2 - 2|u* v|).  The radicand is clamped at zero to
     absorb floating-point cancellation (it is mathematically non-negative).
     """
-    u = _as_complex_vec(u, "u")
-    v = _as_complex_vec(v, "v")
+    return _dist(_as_complex_vec(u, "u"), _as_complex_vec(v, "v"))
+
+
+def _dist(u: np.ndarray, v: np.ndarray) -> float:  # u and v come from _as_complex_vec
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
     nu = float(np.sum(u.real**2 + u.imag**2))
@@ -83,7 +85,7 @@ def relative_error(z, x) -> float:
     nx = float(np.linalg.norm(x))
     if nx == 0.0:
         raise ValueError("ground-truth vector has zero norm")
-    return dist(z, x) / nx
+    return _dist(z, x) / nx
 
 
 def magnitude_profile(x) -> MagnitudeProfile:
@@ -115,7 +117,7 @@ def top_k_indices(values, k: int) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 0:
         raise ValueError("values must be a vector or a block of rows")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("values must be finite")
     if not 1 <= k <= vals.shape[-1]:
         raise ValueError(f"k must be in [1, {vals.shape[-1]}], got {k}")

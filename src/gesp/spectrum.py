@@ -55,18 +55,20 @@ def diagonal(op: SpectrumOperator) -> np.ndarray:
 def submatrix(op: SpectrumOperator, indices) -> np.ndarray:
     """Principal submatrix Z_S for the index set S, exactly Hermitian.
 
-    Entry (u, v) = (1/m) sum_i w_i a_{i,S[u]} conj(a_{i,S[v]}).  The lower
-    triangle is mirrored from the computed upper triangle and the diagonal
-    is forced real, so the result is Hermitian to the last bit.
+    Entry (u, v) = (1/m) sum_i w_i a_{i,S[u]} conj(a_{i,S[v]}), from one GEMM.
+    Its upper triangle plus conj(0) is kept, the lower is 0 plus the upper's
+    conjugate, and the diagonal is forced real: Hermitian to the last bit.
     """
     idx = np.asarray(indices, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("index set must be non-empty")
     b = op.meas.sensing[:, idx]
-    raw = (b * op.weights[:, None]).T @ b.conj() / op.meas.m
-    upper = np.triu(raw, 1)
-    out = upper + upper.conj().T
-    out[np.diag_indices_from(out)] = raw.diagonal().real
+    raw = (b * op.weights[:, None]).T @ b.conj()
+    raw /= op.meas.m
+    out = np.add(raw.T.conj(), 0, order="C")
+    pos = np.arange(idx.size)
+    np.add(raw, np.conj(raw.dtype.type()), out=out, where=pos[:, None] < pos)
+    np.fill_diagonal(out, raw.diagonal().real)
     return out
 
 
@@ -81,7 +83,7 @@ def matvec(op: SpectrumOperator, v) -> np.ndarray:
     a = op.meas.sensing
     if v.ndim not in (1, 2) or v.shape[0] != op.meas.n:
         raise ValueError(f"expected a length-{op.meas.n} vector or n x c block, got shape {v.shape}")
-    nz = np.flatnonzero(v.reshape(op.meas.n, -1).any(axis=1))
+    nz = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
     if nz.size == 0:
         return np.zeros(v.shape, dtype=complex)
     coeffs = a[:, nz].conj() @ v[nz]

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from gesp import bench
 from gesp.bench import build_trial_instance, load_config
 from gesp.cli import BLAS_THREAD_VARS, cli_main
 from gesp.measurement import save_measurements
@@ -110,6 +111,42 @@ class TestRun:
         assert cli_main(["run", "--config", str(config)]) == 1
         assert "out_path must be a string, got None" in capsys.readouterr().err
         assert not (pathlib.Path.cwd() / "None").exists()
+
+    def test_fixed_p_above_k_exits_1(self, tmp_path, capsys):
+        # it used to load and run, and every record of the entry came out NaN with error_flag 1
+        fixed = {"algorithm": "gesp", "strategy": "fixed", "p": 99}
+        config = _small_config(tmp_path, n=20, k=3, algorithms=[fixed, {"algorithm": "esp"}])
+        assert cli_main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert "algorithms[0].p = 99 exceeds k = 3" in captured.err and captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+        fixed["p"] = 3  # p = k is the widest width and loads
+        assert load_config(_small_config(tmp_path, n=20, k=3, algorithms=[fixed])).algorithms[0].strategy.p_value == 3
+
+    def test_error_rows_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        config = _small_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "clean.csv")]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        real = bench.run_algorithm
+
+        def esp_raises(algo, *args):
+            if algo.name == "esp":
+                raise RuntimeError("esp failed")
+            return real(algo, *args)
+
+        monkeypatch.setattr(bench, "run_algorithm", esp_raises)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.err == "4 of 8 records have error_flag 1\n"
+        assert flagged.out == clean.out.replace("clean.csv", "out.csv")
+        rows = (tmp_path / "out.csv").read_text().splitlines()
+        clean_rows = (tmp_path / "clean.csv").read_text().splitlines()
+        for row, clean_row in zip(rows, clean_rows, strict=True):
+            if ",esp," in row:
+                assert row.endswith(",nan,nan,nan,0,1"), row
+            else:
+                assert row == clean_row
 
     def test_unwritable_output_exits_2(self, tmp_path):
         config = _small_config(tmp_path)

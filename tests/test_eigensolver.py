@@ -135,6 +135,7 @@ class TestContracts:
 
     @pytest.mark.parametrize("m", [
         np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),  # not Hermitian
+        np.array([[1.0, 1j], [1j, 1.0]]),  # symmetric, but not Hermitian
         np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
     ])
     def test_residual_check_rejects_bad_input(self, m):

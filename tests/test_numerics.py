@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,8 @@ class TestDist:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dist([np.nan, 0], [1, 0])
+        with pytest.raises(ValueError, match="v contains non-finite entries"):
+            dist([1, 0], [1, complex(0, -np.inf)])
 
 
 class TestRelativeError:
@@ -86,6 +89,28 @@ class TestRelativeError:
     def test_zero_truth_raises(self):
         with pytest.raises(ValueError):
             relative_error(np.ones(2), np.zeros(2))
+
+    def test_is_dist_over_norm_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 10, 200, 1000):
+            for scale in (1e-150, 1.0, 1e150):
+                x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                z[rng.random(n) < 0.5] = 0
+                for est in (z, x, -0.0 * x, np.exp(0.3j) * x):
+                    expected = np.float64(dist(est, x) / np.linalg.norm(x))
+                    assert np.float64(relative_error(est, x)).view(np.uint64) == expected.view(np.uint64)
+
+    @pytest.mark.parametrize("z, x, message", [
+        ([1, complex(0, np.nan)], [1, 0], "z contains non-finite entries"),
+        ([1, 0], [np.inf, 1], "x contains non-finite entries"),
+        ([1, 0, 0], [1, 0], "dimension mismatch: 3 vs 2"),
+        ([1, 0, 0], [0, 0], "ground-truth vector has zero norm"),  # checked before the lengths
+        ([[1, 0]], [1, 0], "z must be a non-empty 1-d vector"),
+    ])
+    def test_each_check_raises_its_message(self, z, x, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            relative_error(z, x)
 
 
 class TestMagnitudeProfile:
@@ -188,6 +213,11 @@ class TestTopK:
         got = top_k_indices(values, k)
         assert got.shape == (rows, k)
         assert np.array_equal(got, np.array([topk_sorted(row, k) for row in values]))
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [[1.0, 2.0], [-np.inf, 0.0]]])
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(ValueError, match="values must be finite"):
+            top_k_indices(values, 1)
 
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):

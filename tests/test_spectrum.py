@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesp.measurement import MeasurementSet, measure, sample_sensing
 from gesp.spectrum import build, diagonal, expectation_oracle, matvec, submatrix
@@ -205,3 +206,54 @@ class TestExpectationOracle:
                 errs.append(np.linalg.norm(emp - expected))
             ratios.append(errs[0] / errs[1])
         assert 1.4 <= float(np.median(ratios)) <= 2.9
+
+
+def _entries(rng, shape, kind):
+    """Complex entries; "real" and "sparse" put signed zeros into the products."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "real":
+        return z.real + 0j
+    if kind == "sparse":
+        return np.where(rng.random(shape) < 0.3, 0j, z)
+    return z
+
+
+class TestBitForBitPins:
+    """The kernels against the formulas they replaced, compared bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 64), m=st.integers(1, 130), extra=st.integers(0, 6),
+           kind=st.sampled_from(["gaussian", "real", "sparse"]),
+           weighting=st.sampled_from(["exponential", "quadratic"]), seed=st.integers(0, 2**32 - 1))
+    def test_submatrix_is_triu_mirror_formula(self, d, m, extra, kind, weighting, seed):
+        rng = np.random.default_rng(seed)
+        sensing = _entries(rng, (m, d + extra), kind)
+        op = build(MeasurementSet(sensing=sensing, y=np.abs(rng.standard_normal(m)) + 0.1), weighting)
+        idx = rng.permutation(d + extra)[:d]
+        b = op.meas.sensing[:, idx]
+        raw = (b * op.weights[:, None]).T @ b.conj() / op.meas.m
+        upper = np.triu(raw, 1)
+        expected = upper + upper.conj().T
+        expected[np.diag_indices_from(expected)] = raw.diagonal().real
+        got = submatrix(op, idx)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "real", "sparse"])
+    def test_matvec_is_any_row_selection_formula(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n, m, c = int(rng.integers(1, 40)), int(rng.integers(1, 90)), int(rng.integers(1, 5))
+            sensing = _entries(rng, (m, n), kind)
+            op = build(MeasurementSet(sensing=sensing, y=np.abs(rng.standard_normal(m)) + 0.1))
+            block = _entries(rng, (n, c), "sparse")
+            block[rng.random(n) < 0.5] = 0
+            block[rng.random((n, c)) < 0.1] = -0.0  # a signed zero is not a nonzero
+            for v in (block[:, 0].copy(), block):
+                nz = np.flatnonzero(v.reshape(n, -1).any(axis=1))
+                weights = op.weights if v.ndim == 1 else op.weights[:, None]
+                expected = sensing.T @ (weights * (sensing[:, nz].conj() @ v[nz])) / m
+                if nz.size == 0:
+                    expected = np.zeros(v.shape, dtype=complex)
+                got = matvec(op, v)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
