@@ -5,8 +5,9 @@ stream from (base_seed, ratio_index, trial_index) via splitmix64, generates
 one signal and one measurement set, and feeds the *same* measurements to
 every configured algorithm (paired comparison).  Records come out in
 (ratio_index, trial_index, algorithm order), so on one numpy/BLAS build
-the output is byte-identical regardless of thread count (float columns
-can differ in the last bit between builds; see spectrum).
+the output is byte-identical whatever the `threads` setting (float columns
+can differ in the last bit between builds and BLAS thread counts; see
+spectrum).
 
 Wall-clock timing is off by default for exactly that reason; set
 record_runtime in the config to populate the runtime_ms column (which then
@@ -21,6 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -114,15 +116,17 @@ class BenchConfig:
     def k(self) -> int:
         return self.signal.k
 
-    def resolved_ratios(self) -> list[tuple[float, int]]:
-        """(ratio, m) pairs with duplicate m values dropped, order kept."""
-        seen, out = set(), []
+    @cached_property
+    def ratio_grid(self) -> tuple[tuple[float, int], ...]:
+        """(ratio, m) pairs with duplicate m values dropped, order kept; built once per config."""
+        first = {}
         for r in self.ratios:
-            m = round(r * self.n)
-            if m not in seen:
-                seen.add(m)
-                out.append((r, m))
-        return out
+            first.setdefault(round(r * self.n), r)
+        return tuple((r, m) for m, r in first.items())
+
+    def resolved_ratios(self) -> list[tuple[float, int]]:
+        """The ratio grid as a list."""
+        return list(self.ratio_grid)
 
 
 @dataclass(frozen=True)
@@ -227,9 +231,9 @@ def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
     top level, `signal`, `algorithms[i]`); integers must be integral and not
     bools, `record_runtime` a bool, `out_path` a string, a gesp `fixed` p at
-    most k, and `base_seed` in [0, 2^64).  Each error names the offending key.
-    `n` and `k` go to the signal; a missing optional key takes the default of
-    its dataclass field."""
+    most k, `signal.decay` beside exp_decay only, and `base_seed` in
+    [0, 2^64).  Each error names the offending key.  `n` and `k` go to the
+    signal; a missing optional key takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -241,13 +245,10 @@ def config_from_dict(raw: dict) -> BenchConfig:
         k = _int(raw["k"], "k")
         sig_raw = raw["signal"]
         _check_keys(sig_raw, _SIGNAL_KEYS, "signal")
-        signal = SignalModelSpec(
-            model=sig_raw["model"],
-            n=n,
-            k=k,
-            decay=_float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"),
-            target_norm=_float(sig_raw.get("target_norm", SignalModelSpec.target_norm), "signal.target_norm"),
-        )
+        model = sig_raw["model"]
+        if "decay" in sig_raw and model != "exp_decay":  # even at its default, which generate would ignore
+            raise ConfigError(f"signal.decay is only valid for the exp_decay model, not {model!r}")
+        signal = SignalModelSpec(model, n, k, _float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"))
         record_runtime = raw.get("record_runtime", BenchConfig.record_runtime)
         if not isinstance(record_runtime, bool):
             raise ConfigError(f"record_runtime must be true or false, got {record_runtime!r}")
@@ -276,7 +277,7 @@ def build_trial_instance(
     config: BenchConfig, ratio_index: int, trial_index: int
 ) -> tuple[int, SparseSignal, MeasurementSet]:
     """Signal and measurements for one trial, shared by all algorithms."""
-    ratio, m = config.resolved_ratios()[ratio_index]
+    ratio, m = config.ratio_grid[ratio_index]
     seed = trial_seed(config.base_seed, ratio_index, trial_index)
     rng = np.random.default_rng(seed)
     sig = generate(config.signal, rng)
@@ -295,7 +296,7 @@ def run_algorithm(algo: AlgorithmSpec, meas: MeasurementSet, k: int, sig: Sparse
 
 
 def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[TrialRecord]:
-    ratio, m = config.resolved_ratios()[ratio_index]
+    ratio, m = config.ratio_grid[ratio_index]
     seed, sig, meas = build_trial_instance(config, ratio_index, trial_index)
     x = sig.vector
     nx = float(np.linalg.norm(x))
@@ -342,7 +343,7 @@ def run_sweep(config: BenchConfig) -> list[TrialRecord]:
     a thread pool's, which cancels the queued trials when one raises or the
     sweep is interrupted, so the sweep stops at once.
     """
-    tasks = product(range(len(config.resolved_ratios())), range(config.trials))
+    tasks = product(range(len(config.ratio_grid)), range(config.trials))
     with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
         chunks = (pool.map if pool else map)(lambda task: _run_trial(config, *task), tasks)
         return [record for chunk in chunks for record in chunk]  # algorithms in config order

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench, spectrum
-from .bench import BenchConfig, ConfigError, load_config
+from .bench import ConfigError, load_config
 from .measurement import measure, sample_sensing, sensing_layout
 from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
@@ -96,19 +96,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _find_ratio_index(config: BenchConfig, ratio: float) -> int:
-    for i, (r, _m) in enumerate(config.resolved_ratios()):
-        if r == ratio:
-            return i
-    raise ConfigError(f"ratio {ratio} is not one of the config's ratios")
-
-
 def _cmd_single(args) -> int:
     config = load_config(args.config)
-    ratio_index = _find_ratio_index(config, args.ratio)
+    ratios = [r for r, _m in config.ratio_grid]
+    if args.ratio not in ratios:
+        raise ConfigError(f"ratio {args.ratio} is not one of the config's ratios")
     if not 0 <= args.trial < config.trials:
         raise ConfigError(f"trial index {args.trial} outside [0, {config.trials})")
-    ratio, m = config.resolved_ratios()[ratio_index]
+    ratio_index = ratios.index(args.ratio)
+    ratio, m = config.ratio_grid[ratio_index]
     seed, sig, meas = bench.build_trial_instance(config, ratio_index, args.trial)
     x = sig.vector
     nx_sq = float(np.vdot(x, x).real)

@@ -2,8 +2,10 @@
 
 Three stochastic models (gaussian / binary / exp_decay) and two structured
 ones (example1 / example2), whose squared-magnitude tiers realize prescribed
-structure-function values, rescaled to a target norm and drawn reproducibly
-from a numpy Generator.  A SparseSignal derives support and profile from x.
+structure-function values, drawn reproducibly from a numpy Generator at
+unit norm: every quantity the harness reports is invariant to ||x||, and a
+signal of norm c is SparseSignal(vector=c * x).  A SparseSignal derives
+support and profile from x.
 """
 
 from __future__ import annotations
@@ -23,22 +25,20 @@ class SignalModelSpec:
     model: str
     n: int
     k: int
-    decay: float = 0.7  # squared-magnitude ratio for exp_decay
-    target_norm: float = 1.0
+    decay: float = 0.7  # squared-magnitude ratio, exp_decay only
 
     def __post_init__(self):
         if self.model not in SIGNAL_MODELS:
             raise ValueError(f"unknown signal model {self.model!r}; expected one of {SIGNAL_MODELS}")
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not 0 < self.target_norm < math.inf:
-            raise ValueError(f"target_norm must be finite and positive, got {self.target_norm}")
-        if self.model == "exp_decay":
-            if not 0.0 < self.decay < 1.0:
-                raise ValueError(f"decay must be in (0, 1), got {self.decay}")
-            # generate scales decay^(k-1), the smallest squared magnitude, by at least target_norm^2 (1 - decay)
-            if self.decay ** (self.k - 1) * self.target_norm * self.target_norm * (1 - self.decay) == 0:
-                raise ValueError(f"decay={self.decay} at k={self.k} underflows: decay^(k-1) scaled to target_norm is 0")
+        if self.model != "exp_decay":
+            if self.decay != SignalModelSpec.decay:  # generate would ignore it
+                raise ValueError(f"decay is only valid for the exp_decay model, not {self.model!r}")
+        elif not 0.0 < self.decay < 1.0:
+            raise ValueError(f"decay must be in (0, 1), got {self.decay}")
+        elif self.decay ** (self.k - 1) * (1 - self.decay) == 0:  # bounds the smallest square generate gives
+            raise ValueError(f"decay={self.decay} at k={self.k} underflows: decay^(k-1) scaled to unit norm is 0")
         if self.model == "example1" and not (_int_root(self.k, 2) and _int_root(self.k, 6)):
             raise ValueError(f"example1 requires integer sqrt(k) and k^(1/6), got k={self.k}")
         if self.model == "example2" and not (_int_root(self.k, 2) and _int_root(self.k, 4)):
@@ -82,29 +82,16 @@ def sample_support(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _example1_sq_mags(k: int) -> np.ndarray:
-    """Squared-magnitude tiers (unit total energy): one dominant entry,
-    a middle band up to sqrt(k), and a flat tail."""
+def _tiered_sq_mags(k: int, head: int, head_sq: float, c: float) -> np.ndarray:
+    """Squared-magnitude tiers (unit total energy): `head` dominant entries of
+    head_sq (1/sqrt(k) in all), a middle band that brings the energy of the
+    sqrt(k) largest entries to c, and a flat tail."""
     r = _int_root(k, 2)
-    r6 = _int_root(k, 6)
-    tiers = [1.0 / r]
-    if r > 1:
-        tiers += [(1.0 / (r - 1)) * (1.0 / r6 - 1.0 / r)] * (r - 1)
+    tiers = [head_sq] * head
+    if r > head:
+        tiers += [(1.0 / (r - head)) * (c - 1.0 / r)] * (r - head)
     if k > r:
-        tiers += [(1.0 / (k - r)) * (1.0 - 1.0 / r6)] * (k - r)
-    return np.array(tiers)
-
-
-def _example2_sq_mags(k: int) -> np.ndarray:
-    """Squared-magnitude tiers (unit total energy): k^(1/4) dominant
-    entries, a middle band up to sqrt(k), and a flat tail."""
-    r2 = _int_root(k, 2)
-    r4 = _int_root(k, 4)
-    tiers = [1.0 / k**0.75] * r4
-    if r2 > r4:
-        tiers += [(1.0 / (r2 - r4)) * (k ** (-1.0 / 3.0) - 1.0 / r2)] * (r2 - r4)
-    if k > r2:
-        tiers += [(1.0 / (k - r2)) * (1.0 - k ** (-1.0 / 3.0))] * (k - r2)
+        tiers += [(1.0 / (k - r)) * (1.0 - c)] * (k - r)
     return np.array(tiers)
 
 
@@ -123,9 +110,9 @@ def _nonzero_values(spec: SignalModelSpec, rng: np.random.Generator) -> np.ndarr
     if spec.model == "exp_decay":
         sq = spec.decay ** np.arange(k, dtype=float)
     elif spec.model == "example1":
-        sq = _example1_sq_mags(k)
+        sq = _tiered_sq_mags(k, 1, 1.0 / _int_root(k, 2), 1.0 / _int_root(k, 6))
     else:
-        sq = _example2_sq_mags(k)
+        sq = _tiered_sq_mags(k, _int_root(k, 4), 1.0 / k**0.75, k ** (-1.0 / 3.0))
     # descending magnitudes assigned to support slots in random order,
     # with independent uniform phases
     mags = np.sqrt(sq)
@@ -135,10 +122,10 @@ def _nonzero_values(spec: SignalModelSpec, rng: np.random.Generator) -> np.ndarr
 
 def generate(spec: SignalModelSpec, rng: np.random.Generator) -> SparseSignal:
     """Draw one k-sparse signal: random support, model-specific nonzeros,
-    rescaled so that ||x|| equals spec.target_norm exactly."""
+    rescaled to unit norm."""
     support = sample_support(spec.n, spec.k, rng)
     vals = _nonzero_values(spec, rng)
-    vals *= spec.target_norm / np.linalg.norm(vals)
+    vals *= 1.0 / np.linalg.norm(vals)  # not /=, which rounds differently
     x = np.zeros(spec.n, dtype=complex)
     x[support] = vals
     return SparseSignal(vector=x)

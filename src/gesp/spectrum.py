@@ -9,9 +9,9 @@ Z is never materialized as an n x n array on the algorithm path; the solver
 needs only its diagonal (from the set's |a_ij|^2, computed once per set),
 small principal submatrices, and products with sparse vectors or blocks of
 them.  Each reduction is a single BLAS product: results are bit-identical
-across runs and thread counts on one numpy/BLAS build, but the summation
-order (and so the last bit) depends on the build, its CPU kernel and the
-operands' memory layout.
+across runs on one numpy/BLAS build and BLAS thread count; the summation
+order (and so the last bit) depends on the build, its CPU kernel, the
+operands' memory layout and, for products as large as n = 1000, that count.
 """
 
 from __future__ import annotations

@@ -93,6 +93,17 @@ class TestConfig:
         config = _mini_config(ratios=(0.5, 0.51, 1.0))  # 0.5 and 0.51 both give m=12
         assert config.resolved_ratios() == [(0.5, 12), (1.0, 24)]
 
+    def test_ratio_grid_built_once_per_config(self, monkeypatch):
+        # the sweep and each trial used to rebuild the (ratio, m) list, three times per trial
+        config = _mini_config(ratios=(0.5, 0.51, 1.0))
+        assert config.ratio_grid is config.ratio_grid == ((0.5, 12), (1.0, 24))
+        config.resolved_ratios().clear()  # a caller's list is its own
+        assert config.resolved_ratios() == [(0.5, 12), (1.0, 24)]
+        fresh, rounds = _mini_config(ratios=(0.5, 0.51, 1.0)), []
+        monkeypatch.setattr(bench, "round", lambda x: rounds.append(x) or round(x), raising=False)
+        assert len(run_sweep(fresh)) == 2 * 3 * 2
+        assert len(rounds) == 3  # one per configured ratio, for the whole sweep
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({
@@ -227,9 +238,17 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("norm", [float("nan"), float("inf")])
     def test_non_finite_target_norm_rejected(self, norm):
-        # JSON loads NaN and Infinity; they used to reach generate and fail there
-        with pytest.raises(ConfigError, match="target_norm must be finite and positive"):
+        # JSON loads NaN and Infinity; signals are drawn at unit norm, so target_norm is no key at all
+        with pytest.raises(ConfigError, match="^unknown key 'target_norm' in signal; expected one of model, decay$"):
             config_from_dict(_raw_config(signal={"model": "gaussian", "target_norm": norm}))
+
+    @pytest.mark.parametrize("model, k", [("gaussian", 2), ("binary", 2), ("example1", 1), ("example2", 1)])
+    def test_decay_beside_another_model_rejected(self, model, k):
+        # {"model": "gaussian", "decay": 0.3} used to load and draw the same signals as without the key
+        for decay in (0.3, 0.7):
+            with pytest.raises(ConfigError, match=f"^signal.decay is only valid for the exp_decay model, not '{model}'$"):
+                config_from_dict(_raw_config(k=k, signal={"model": model, "decay": decay}))
+        assert config_from_dict(_raw_config(k=k, signal={"model": "exp_decay", "decay": 0.3})).signal.decay == 0.3
 
     @pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["null", "5", "list"])
     def test_out_path_must_be_a_string(self, value):

@@ -105,6 +105,20 @@ class TestRun:
         assert "target_norm" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_target_norm_key_exits_1(self, tmp_path, capsys):
+        # signals are drawn at unit norm; the key used to load and change no reported column
+        config = _small_config(tmp_path, signal={"model": "gaussian", "target_norm": 1.0})
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert "config error: unknown key 'target_norm' in signal" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_decay_beside_gaussian_exits_1(self, tmp_path, capsys):
+        # it used to load and draw the same signals as without the key
+        config = _small_config(tmp_path, signal={"model": "gaussian", "decay": 0.3})
+        assert cli_main(["run", "--config", str(config)]) == 1
+        assert "signal.decay is only valid for the exp_decay model, not 'gaussian'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_null_out_path_exits_1(self, tmp_path, capsys):
         # it used to write the records to a file named "None"
         config = _small_config(tmp_path, out_path=None)

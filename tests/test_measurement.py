@@ -92,7 +92,7 @@ class TestMeasure:
     def test_lambda_sq_concentrates(self):
         # mean of m = 2e5 squared moduli sits within 3% of ||x||^2
         rng = np.random.default_rng(102)
-        sig = generate(SignalModelSpec(model="gaussian", n=16, k=16, target_norm=1.7), rng)
+        sig = SparseSignal(vector=1.7 * generate(SignalModelSpec(model="gaussian", n=16, k=16), rng).vector)
         meas = measure(sig, sample_sensing(16, 200_000, rng))
         assert 0.97 * sig.norm_sq <= meas.lambda_sq <= 1.03 * sig.norm_sq
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesp.numerics import magnitude_profile, structure_function
-from gesp.signals import SignalModelSpec, SparseSignal, _int_root, generate, sample_support
+from gesp.signals import SignalModelSpec, SparseSignal, _int_root, _tiered_sq_mags, generate, sample_support
 
 # frozen from explicit evaluation of the k=16 three-tier table
 # (2 entries, 2 entries, 12 entries; unit total energy)
@@ -60,33 +60,75 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalModelSpec(model="exp_decay", n=16, k=4, decay=1.0)
 
-    @pytest.mark.parametrize("k, decay, norm", [
-        (200, 1e-5, 1.0), (3000, 0.7, 1.0), (2088, 0.7, 1.0), (2000, 0.7, 1e-10),
-    ])
-    def test_exp_decay_underflow_rejected(self, k, decay, norm):
+    @pytest.mark.parametrize("k, decay", [(200, 1e-5), (3000, 0.7), (2088, 0.7)])
+    def test_exp_decay_underflow_rejected(self, k, decay):
         # decay^(k-1) is 0 in the first two cases: generate used to give 65 and
-        # 2090 nonzeros, not k; in the last two it is nonzero, but scaled to
-        # target_norm its square is 0: the profile used to hold 1 and 43 zero
-        # energies inside the support
+        # 2090 nonzeros, not k; in the last it is nonzero, but scaled to unit
+        # norm its square is 0: the profile used to hold a zero energy inside
+        # the support
         with pytest.raises(ValueError, match=f"decay={decay} at k={k} underflows"):
-            SignalModelSpec(model="exp_decay", n=k, k=k, decay=decay, target_norm=norm)
+            SignalModelSpec(model="exp_decay", n=k, k=k, decay=decay)
 
     def test_exp_decay_largest_k_kept(self):
         # the default decay's largest accepted k keeps a positive energy in every entry
         sig = generate(SignalModelSpec(model="exp_decay", n=2087, k=2087), np.random.default_rng(0))
         assert sig.k == 2087 and np.all(sig.profile.sorted_sq_mags > 0)
 
-    @pytest.mark.parametrize("norm", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_target_norm_finite_and_positive(self, norm):
-        # NaN and inf used to be accepted and fail later in generate
-        with pytest.raises(ValueError, match="target_norm must be finite and positive"):
-            SignalModelSpec(model="gaussian", n=16, k=4, target_norm=norm)
+    @pytest.mark.parametrize("model, k", [("gaussian", 4), ("binary", 4), ("example1", 64), ("example2", 16)])
+    def test_decay_of_another_model_rejected(self, model, k):
+        # generate ignores decay outside exp_decay; 0.3 used to draw the same signals as 0.7
+        with pytest.raises(ValueError, match=f"decay is only valid for the exp_decay model, not '{model}'"):
+            SignalModelSpec(model=model, n=64, k=k, decay=0.3)
+        assert SignalModelSpec(model=model, n=64, k=k, decay=0.7) == SignalModelSpec(model=model, n=64, k=k)
 
 
 def test_int_root_returns_root_or_none():
     assert [_int_root(64, r) for r in (1, 2, 3, 6)] == [64, 8, 4, 2]
     assert _int_root(16, 4) == 2 and _int_root(1, 6) == 1
     assert _int_root(8, 2) is None and _int_root(63, 6) is None and _int_root(65, 2) is None
+
+
+def _example1_tiers(k):
+    """example1's squared magnitudes as generate built them before the shared tier builder."""
+    r, r6 = _int_root(k, 2), _int_root(k, 6)
+    tiers = [1.0 / r]
+    if r > 1:
+        tiers += [(1.0 / (r - 1)) * (1.0 / r6 - 1.0 / r)] * (r - 1)
+    if k > r:
+        tiers += [(1.0 / (k - r)) * (1.0 - 1.0 / r6)] * (k - r)
+    return np.array(tiers)
+
+
+def _example2_tiers(k):
+    """example2's squared magnitudes as generate built them before the shared tier builder."""
+    r2, r4 = _int_root(k, 2), _int_root(k, 4)
+    tiers = [1.0 / k**0.75] * r4
+    if r2 > r4:
+        tiers += [(1.0 / (r2 - r4)) * (k ** (-1.0 / 3.0) - 1.0 / r2)] * (r2 - r4)
+    if k > r2:
+        tiers += [(1.0 / (k - r2)) * (1.0 - k ** (-1.0 / 3.0))] * (k - r2)
+    return np.array(tiers)
+
+
+@pytest.mark.parametrize("model, k", [
+    *(("example1", k) for k in (1, 64, 729, 4096)),
+    *(("example2", k) for k in (1, 16, 81, 256, 625, 1296)),
+])
+def test_tier_builder_matches_each_models_formula(model, k):
+    if model == "example1":
+        old, params = _example1_tiers(k), (1, 1.0 / _int_root(k, 2), 1.0 / _int_root(k, 6))
+    else:
+        old, params = _example2_tiers(k), (_int_root(k, 4), 1.0 / k**0.75, k ** (-1.0 / 3.0))
+    assert np.array_equal(_tiered_sq_mags(k, *params).view(np.uint64), old.view(np.uint64))
+    # and generate's signal is the one drawn from the written-out formula
+    rng = np.random.default_rng(k)
+    support = sample_support(k, k, rng)
+    vals = (np.sqrt(old) * np.exp(2j * np.pi * rng.random(k)))[rng.permutation(k)]
+    vals *= 1.0 / np.linalg.norm(vals)
+    x = np.zeros(k, dtype=complex)
+    x[support] = vals
+    sig = generate(SignalModelSpec(model=model, n=k, k=k), np.random.default_rng(k))
+    assert np.array_equal(sig.vector.view(np.uint64), x.view(np.uint64))
 
 
 class TestGenerate:
@@ -98,10 +140,12 @@ class TestGenerate:
         ("example2", 40, 16),
     ])
     def test_norm_and_sparsity(self, model, n, k):
+        # generate draws at unit norm; another norm is the scaled vector's signal
         rng = np.random.default_rng(10)
         for norm in (1.0, 3.5):
-            sig = generate(SignalModelSpec(model=model, n=n, k=k, target_norm=norm), rng)
+            sig = SparseSignal(vector=norm * generate(SignalModelSpec(model=model, n=n, k=k), rng).vector)
             assert np.linalg.norm(sig.vector) == pytest.approx(norm, rel=1e-12)
+            assert sig.k == k and sig.norm_sq == pytest.approx(norm**2, rel=1e-12)
             assert np.count_nonzero(sig.vector) == k
             outside = np.delete(sig.vector, sig.support)
             assert np.all(outside == 0)
