@@ -1,10 +1,10 @@
 """Complex Gaussian sensing ensembles and phaseless observations.
 
 A MeasurementSet is built from the sensing rows a_i and the moduli
-y_i = |a_i* x| alone; it derives lambda_sq = mean(y^2) and the |a_ij|^2 that
-every spectrum diagonal reads.  An instance peaks at 24*m*n bytes: sensing
-plus |A|^2 (summed about 1 MB at a time), or while sampled, sensing plus
-one reused buffer of draws.  Sets are immutable and thread-safe.  A binary
+y_i = |a_i* x| alone; it derives lambda_sq = mean(y^2) and, per spectrum
+weighting, the weights w_i and the diagonal (1/m) sum_i w_i |a_ij|^2.  It
+holds its 16*m*n-byte sensing matrix plus O(m + n); building or sampling one
+adds two blocks of about 1 MB.  Sets are immutable and thread-safe.  A binary
 little-endian dump, for debugging, loads into one copy and saves from none.
 """
 
@@ -20,6 +20,7 @@ import numpy as np
 from .signals import SparseSignal
 
 _MAGIC = b"SPRM1"
+WEIGHTINGS = ("exponential", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class MeasurementSet:
     sensing: np.ndarray  # m x n complex, row i = a_i
     y: np.ndarray        # m non-negative moduli |a_i* x|
     lambda_sq: float = field(init=False)  # mean of y^2
-    abs_sq: np.ndarray = field(init=False, repr=False, compare=False)  # m x n |a_ij|^2
+    weights: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)    # kind -> m w_i, read-only
+    diagonals: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)  # kind -> n entries, read-only
 
     def __post_init__(self):
         if not np.issubdtype(self.sensing.dtype, np.inexact):
@@ -38,23 +40,33 @@ class MeasurementSet:
             raise ValueError("sensing must be an m x n array")
         if self.y.shape != (self.sensing.shape[0],):
             raise ValueError("y length must match the sensing row count")
-        if not np.isfinite(self.sensing).all():
-            raise ValueError("sensing has non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below and in spectrum.build
+            y_sq = self.y**2
+            object.__setattr__(self, "lambda_sq", float(np.mean(y_sq)))
+            weights = {"exponential": 0.5 - np.exp(-y_sq / self.lambda_sq), "quadratic": y_sq}
+        rows = max(1, 2**17 // self.n)  # a block of about 1 MB
+        sq = np.empty((min(rows, self.m), self.n), dtype=self.sensing.real.dtype)
+        im_sq = np.empty_like(sq)
+        diagonals = {kind: np.zeros(self.n, np.result_type(w, sq)) for kind, w in weights.items()}
+        for start in range(0, self.m, rows):
+            block = self.sensing[start:start + rows]
+            part = np.square(block.real, out=sq[:len(block)])
+            part += np.square(block.imag, out=im_sq[:len(block)])  # the roundings of re^2 + im^2
+            if not np.isfinite(part.max()) and not np.isfinite(block).all():  # a finite entry can square to inf
+                raise ValueError("sensing has non-finite entries")  # checked before y
+            for kind, w in weights.items():
+                diagonals[kind] += w[start:start + rows] @ part
         if not np.isfinite(self.y).all():
             raise ValueError("y has non-finite entries")
         if (self.y < 0).any():
             raise ValueError("y has negative entries; moduli must be non-negative")
-        with np.errstate(over="ignore"):  # y^2 can overflow on a loaded dump
-            object.__setattr__(self, "lambda_sq", float(np.mean(self.y**2)))
         if not math.isfinite(self.lambda_sq):
             raise ValueError(f"lambda_sq = mean(y^2) must be finite, got {self.lambda_sq}")
-        # re^2 + im^2 with the same two roundings, but the imaginary squares
-        # are added a block of about 1 MB at a time: no m x n temporary
-        abs_sq = np.square(self.sensing.real)
-        rows = max(1, 2**17 // self.n)
-        for start in range(0, self.m, rows):
-            abs_sq[start:start + rows] += np.square(self.sensing.imag[start:start + rows])
-        object.__setattr__(self, "abs_sq", abs_sq)
+        diagonals = {kind: d / self.m for kind, d in diagonals.items()}
+        for array in (*weights.values(), *diagonals.values()):
+            array.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "diagonals", diagonals)
 
     @property
     def m(self) -> int:
@@ -66,14 +78,16 @@ class MeasurementSet:
 
 
 def sample_sensing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m x n i.i.d. standard complex Gaussian rows, E|a_ij|^2 = 1: independent
-    N(0, 1/2) real then imaginary parts, drawn into one reused float buffer."""
+    """m x n i.i.d. standard complex Gaussian rows, E|a_ij|^2 = 1: independent N(0, 1/2)
+    real then imaginary parts, the stream of one m x n draw each, drawn a block at a time."""
     if n < 1 or m < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     sensing = np.empty((m, n), dtype=complex)
-    draws = np.empty((m, n))
+    rows = max(1, 2**17 // n)  # a block of about 1 MB, reused
+    draws = np.empty((min(rows, m), n))
     for part in (sensing.real, sensing.imag):
-        np.multiply(rng.standard_normal(out=draws), math.sqrt(0.5), out=part)
+        for out in (part[start:start + rows] for start in range(0, m, rows)):
+            np.multiply(rng.standard_normal(out=draws[:len(out)]), math.sqrt(0.5), out=out)
     return sensing
 
 

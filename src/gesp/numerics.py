@@ -121,9 +121,12 @@ def top_k_indices(values, k: int) -> np.ndarray:
         raise ValueError("values must be finite")
     if not 1 <= k <= vals.shape[-1]:
         raise ValueError(f"k must be in [1, {vals.shape[-1]}], got {k}")
-    # stable sort on (-value, index): equal values keep ascending index order
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    cut = np.partition(vals, -k, axis=-1)[..., -k, None]  # each row's k-th largest
+    keep = vals >= cut
+    if np.count_nonzero(keep) > keep.size // vals.shape[-1] * k:  # ties at a cut go to the lowest indices
+        above, tied = vals > cut, vals == cut
+        keep = above | (tied & (np.cumsum(tied, axis=-1) <= k - above.sum(axis=-1, keepdims=True)))
+    return np.nonzero(keep)[-1].reshape(vals.shape[:-1] + (k,))
 
 
 def ceil_sqrt(k: int) -> int:

@@ -1,17 +1,14 @@
 """Matrix-free weighted outer-product spectrum Z = (1/m) sum_i w_i a_i a_i*.
 
-Two weightings are supported:
-
-  exponential  w_i = 1/2 - exp(-y_i^2 / lambda_sq)   (the pursuit spectrum)
-  quadratic    w_i = y_i^2                            (prior two-step spectrum)
-
-Z is never materialized as an n x n array on the algorithm path; the solver
-needs only its diagonal (from the set's |a_ij|^2, computed once per set),
-small principal submatrices, and products with sparse vectors or blocks of
-them.  Each reduction is a single BLAS product: results are bit-identical
-across runs on one numpy/BLAS build and BLAS thread count; the summation
-order (and so the last bit) depends on the build, its CPU kernel, the
-operands' memory layout and, for products as large as n = 1000, that count.
+The weights are a MeasurementSet's, one vector per weighting: exponential,
+w_i = 1/2 - exp(-y_i^2 / lambda_sq), for the pursuit, and quadratic,
+w_i = y_i^2, for the prior two-step method.  Z is never an n x n array on
+the algorithm path: the solver needs only its diagonal (the set's sum of one
+product per block of sensing rows), small principal submatrices, and products
+with sparse vectors or blocks of them.  Results are bit-identical across runs
+on one numpy/BLAS build and BLAS thread count; the summation order (and so
+the last bit) depends on the build, its CPU kernel, the operands' memory
+layout and, for products as large as n = 1000, that count.
 """
 
 from __future__ import annotations
@@ -20,36 +17,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementSet
+from .measurement import WEIGHTINGS, MeasurementSet
 from .signals import SparseSignal
-
-WEIGHTINGS = ("exponential", "quadratic")
 
 
 @dataclass(frozen=True)
 class SpectrumOperator:
     meas: MeasurementSet
-    weights: np.ndarray
+    weights: np.ndarray  # the set's weights and diagonal for one weighting
+    diag: np.ndarray
 
 
 def build(meas: MeasurementSet, kind: str = "exponential") -> SpectrumOperator:
-    """Compute the per-measurement weights from y and lambda_sq.
-
-    Either weighting rejects a zero lambda_sq: no estimate with
-    ||z||^2 = lambda_sq = 0 has k nonzeros.
-    """
+    """The spectrum of `meas` under one weighting.  Either weighting rejects
+    a zero lambda_sq: no estimate with ||z||^2 = lambda_sq = 0 has k nonzeros."""
     if kind not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {kind!r}; expected one of {WEIGHTINGS}")
     if meas.lambda_sq <= 0.0:
         raise ValueError("degenerate measurements: lambda_sq is zero, all observations vanish")
-    y_sq = meas.y**2
-    weights = y_sq if kind == "quadratic" else 0.5 - np.exp(-y_sq / meas.lambda_sq)
-    return SpectrumOperator(meas=meas, weights=weights)
+    return SpectrumOperator(meas=meas, weights=meas.weights[kind], diag=meas.diagonals[kind])
 
 
 def diagonal(op: SpectrumOperator) -> np.ndarray:
-    """Diagonal of Z: entry j = (1/m) sum_i w_i |a_ij|^2.  Cost O(mn)."""
-    return (op.weights @ op.meas.abs_sq) / op.meas.m
+    """Diagonal of Z, read-only: entry j = (1/m) sum_i w_i |a_ij|^2, summed when the set was built."""
+    return op.diag
 
 
 def submatrix(op: SpectrumOperator, indices) -> np.ndarray:

@@ -1,15 +1,29 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from gesp.measurement import MeasurementSet, load_measurements, measure, sample_sensing, save_measurements
+from gesp import spectrum
+from gesp.measurement import (
+    WEIGHTINGS, MeasurementSet, load_measurements, measure, sample_sensing, save_measurements,
+)
 from gesp.signals import SignalModelSpec, SparseSignal, generate
 
 
 def _block_rows(n):
-    # MeasurementSet adds the imaginary squares this many rows at a time
+    # MeasurementSet squares, and sample_sensing draws, this many rows at a time
     return max(1, 2**17 // n)
+
+
+def _two_blocks(n):
+    return 2 * _block_rows(n) * n * 8
+
+
+def _one_product_diagonals(meas):
+    """Each weighting's diagonal as one product with the whole m x n |a_ij|^2."""
+    abs_sq = meas.sensing.real**2 + meas.sensing.imag**2
+    return {kind: (meas.weights[kind] @ abs_sq) / meas.m for kind in WEIGHTINGS}
 
 
 def _peak_bytes(build):
@@ -43,7 +57,10 @@ class TestSampleSensing:
         with pytest.raises(ValueError):
             sample_sensing(4, 0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (200, 37), (64, 256)])
+    @pytest.mark.parametrize("n, m", [
+        (1, 1), (7, 3), (200, 37), (64, 256),
+        (64, _block_rows(64) - 1), (64, _block_rows(64)), (64, 2 * _block_rows(64) + 1), (2**17 + 3, 3),
+    ])
     def test_same_draws_as_scaled_complex_sum(self, n, m):
         # the in-place draws equal sqrt(1/2) (A + iB) on the same stream, bit for bit
         a = sample_sensing(n, m, np.random.default_rng(102))
@@ -53,28 +70,75 @@ class TestSampleSensing:
         assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
     def test_memory_is_sensing_plus_one_float_buffer(self):
+        # the buffer of draws is one block of rows; an m x n one was 3.2 MB here
+        n, m = 400, 1000
         rng = np.random.default_rng(109)
-        sensing, peak = _peak_bytes(lambda: sample_sensing(400, 400, rng))
-        assert peak <= sensing.nbytes + 400 * 400 * 8 + 64 * 1024
+        sensing, peak = _peak_bytes(lambda: sample_sensing(n, m, rng))
+        assert peak <= sensing.nbytes + _two_blocks(n) + 64 * 1024
 
 
 class TestAbsSq:
+    """|a_ij|^2 is squared a block of rows at a time and reduced into one diagonal per weighting."""
+
     @pytest.mark.parametrize("n, m", [
         (64, 1), (64, _block_rows(64) - 1), (64, _block_rows(64)), (64, _block_rows(64) + 1), (2**17 + 3, 3),
     ])
     def test_bitwise_equal_to_sum_of_squares(self, n, m):
+        # re^2 + im^2 per block, each block's product added in row order; one
+        # product over all of |A|^2 when the set is a single block
         sensing = sample_sensing(n, m, np.random.default_rng(110))
-        abs_sq = MeasurementSet(sensing=sensing, y=np.ones(m)).abs_sq
-        direct = sensing.real**2 + sensing.imag**2
-        assert abs_sq.shape == (m, n)
-        assert np.array_equal(abs_sq.view(np.uint64), direct.view(np.uint64))
+        meas = MeasurementSet(sensing=sensing, y=np.random.default_rng(116).random(m))
+        rows = _block_rows(n)
+        for kind in WEIGHTINGS:
+            w = meas.weights[kind]
+            expected = None
+            for start in range(0, m, rows):
+                block = sensing[start:start + rows]
+                term = w[start:start + rows] @ (block.real**2 + block.imag**2)
+                expected = term if expected is None else expected + term
+            expected = expected / m
+            assert meas.diagonals[kind].shape == (n,)
+            assert np.array_equal(meas.diagonals[kind].view(np.uint64), expected.view(np.uint64))
+            if m <= rows:
+                one = _one_product_diagonals(meas)[kind]
+                assert np.array_equal(meas.diagonals[kind].view(np.uint64), one.view(np.uint64))
+
+    @pytest.mark.parametrize("n, m", [
+        (64, _block_rows(64) - 1), (64, _block_rows(64)), (64, _block_rows(64) + 1), (64, 3 * _block_rows(64) + 5),
+        (2**17 + 3, 3),
+    ])
+    def test_within_1e_12_of_one_product(self, n, m):
+        # a sum of m products of either sign is judged against the sum of their magnitudes
+        rng = np.random.default_rng(117)
+        sensing = sample_sensing(n, m, rng)
+        meas = MeasurementSet(sensing=sensing, y=rng.random(m))
+        abs_sq = sensing.real**2 + sensing.imag**2
+        for kind, one in _one_product_diagonals(meas).items():
+            scale = (np.abs(meas.weights[kind]) @ abs_sq) / m
+            assert np.all(np.abs(meas.diagonals[kind] - one) <= 1e-12 * scale)
+
+    def test_real_sensing_gives_the_diagonals_of_its_complex_cast(self):
+        rng = np.random.default_rng(118)
+        n, m = 64, 2 * _block_rows(64) + 3
+        real, y = rng.standard_normal((m, n)), rng.random(m)
+        meas, cast = MeasurementSet(sensing=real, y=y), MeasurementSet(sensing=real.astype(complex), y=y)
+        for kind in WEIGHTINGS:
+            assert np.array_equal(meas.diagonals[kind].view(np.uint64), cast.diagonals[kind].view(np.uint64))
+
+    def test_stored_arrays_are_read_only(self):
+        meas = measure(SparseSignal(vector=np.array([1.0, 1j, 0.0])), sample_sensing(3, 5, np.random.default_rng(119)))
+        for kind in WEIGHTINGS:
+            for array in (meas.weights[kind], meas.diagonals[kind], spectrum.diagonal(spectrum.build(meas, kind))):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
 
     def test_memory_is_abs_sq_plus_one_block(self):
-        # real**2 + imag**2 held two m x n float arrays at once
-        n = m = 400
-        sensing, y = sample_sensing(n, m, np.random.default_rng(111)), np.ones(m)
-        meas, peak = _peak_bytes(lambda: MeasurementSet(sensing=sensing, y=y))
-        assert peak <= meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
+        # one block of |a_ij|^2 and one of imaginary squares; the whole m x n
+        # |A|^2 (3.2 MB here) used to be held besides the sensing matrix
+        n, m = 400, 1000
+        rng, y = np.random.default_rng(111), np.ones(m)
+        meas, peak = _peak_bytes(lambda: MeasurementSet(sensing=sample_sensing(n, m, rng), y=y))
+        assert peak <= meas.sensing.nbytes + _two_blocks(n) + 64 * 1024
 
 
 class TestMeasure:
@@ -196,14 +260,15 @@ class TestBinaryDump:
             load_measurements(path)
 
     def test_load_holds_one_sensing_matrix(self, tmp_path):
-        # the whole file as bytes plus a converted copy used to be held at once
-        n = m = 400
+        # the whole file as bytes plus a converted copy used to be held at
+        # once, and then the set's m x n |A|^2
+        n, m = 400, 1000
         rng = np.random.default_rng(112)
         sig = generate(SignalModelSpec(model="gaussian", n=n, k=4), rng)
         path = tmp_path / "meas.bin"
         save_measurements(measure(sig, sample_sensing(n, m, rng)), path)
         meas, peak = _peak_bytes(lambda: load_measurements(path))
-        assert peak <= meas.sensing.nbytes + meas.abs_sq.nbytes + _block_rows(n) * n * 8 + 64 * 1024
+        assert peak <= meas.sensing.nbytes + _two_blocks(n) + 64 * 1024
 
     def test_save_copies_nothing(self, tmp_path):
         # .astype("<c16").tobytes() held two copies of the sensing matrix (5.12 MB here)
@@ -242,6 +307,37 @@ class TestMeasurementSetChecks:
         sensing[2, 1] = bad
         with pytest.raises(ValueError, match="^sensing has non-finite"):
             MeasurementSet(sensing=sensing, y=y)
+
+    def test_non_finite_sensing_in_a_later_block(self):
+        n = 64
+        sensing, y = np.ones((2 * _block_rows(n) + 1, n), dtype=complex), np.ones(2 * _block_rows(n) + 1)
+        sensing[-1, 3] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="^sensing has non-finite"):
+            MeasurementSet(sensing=sensing, y=y)
+
+    @pytest.mark.parametrize("bad_y", [np.nan, -1.0, 1e200], ids=["nan", "negative", "overflowing-square"])
+    def test_sensing_error_comes_before_y_error(self, bad_y):
+        sensing, y = self._parts()
+        sensing[0, 0], y[0] = complex(np.nan, 0.0), bad_y
+        with pytest.raises(ValueError, match="^sensing has non-finite"):
+            MeasurementSet(sensing=sensing, y=y)
+
+    def test_finite_sensing_that_squares_to_inf_accepted(self):
+        sensing, y = self._parts()
+        sensing[1, 0] = 1e200
+        with np.errstate(over="ignore"):
+            meas = MeasurementSet(sensing=sensing, y=y)
+        assert meas.diagonals["quadratic"][0] == np.inf
+
+    @pytest.mark.parametrize("y", [np.zeros(3), np.array([2.5e-162, 0.0, 0.0])], ids=["zeros", "subnormal-mean"])
+    def test_zero_lambda_sq_builds_without_warning(self, y):
+        # the second y squares to the smallest subnormal, whose mean over 3 rounds to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meas = MeasurementSet(sensing=np.ones((3, 2), dtype=complex), y=y)
+        assert meas.lambda_sq == 0.0
+        with pytest.raises(ValueError, match="^degenerate measurements: "):
+            spectrum.build(meas, "exponential")
 
     @pytest.mark.parametrize("sensing, y, message", [
         # y**2 wrapped in int64: lambda_sq came out 0.5, not the true mean square 9.2e18

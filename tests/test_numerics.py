@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesp.numerics import (
     MagnitudeProfile,
@@ -213,6 +214,18 @@ class TestTopK:
         got = top_k_indices(values, k)
         assert got.shape == (rows, k)
         assert np.array_equal(got, np.array([topk_sorted(row, k) for row in values]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=st.integers(0, 4), n=st.integers(1, 40), tied=st.booleans())
+    def test_is_the_stable_argsort_selection(self, data, rows, n, tied):
+        # rows = 0 is a vector; tied draws integer-valued entries, -0.0 beside 0.0
+        shape = (n,) if rows == 0 else (rows, n)
+        size = math.prod(shape)
+        entries = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]) if tied else st.floats(-1e6, 1e6)
+        values = np.array(data.draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+        k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
+        expected = np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
+        assert np.array_equal(top_k_indices(values, k), expected)
 
     @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [[1.0, 2.0], [-np.inf, 0.0]]])
     def test_non_finite_values_rejected(self, values):

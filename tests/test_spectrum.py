@@ -135,13 +135,15 @@ class TestOperatorProperties:
         op = build(meas, "exponential")
         assert np.array_equal(matvec(op, np.zeros((8, 3), complex)), np.zeros((8, 3), complex))
 
-    def test_diagonal_reuses_the_sets_abs_sq(self, monkeypatch):
-        # |a_ij|^2 is computed once per MeasurementSet; the diagonal reads it
+    def test_diagonal_is_the_sets_stored_vector(self):
+        # the O(mn) sum is done once, when the set is built; a call looks it up
         _, meas = _instance(27)
-        assert np.array_equal(meas.abs_sq, meas.sensing.real**2 + meas.sensing.imag**2)
-        expected = diagonal(build(meas, "quadratic"))
-        object.__setattr__(meas, "abs_sq", 2.0 * meas.abs_sq)
-        assert np.array_equal(diagonal(build(meas, "quadratic")), 2.0 * expected)
+        abs_sq = meas.sensing.real**2 + meas.sensing.imag**2
+        for kind in ("exponential", "quadratic"):
+            op = build(meas, kind)
+            assert op.weights is meas.weights[kind]
+            assert diagonal(op) is meas.diagonals[kind]
+            assert np.array_equal(diagonal(op), (op.weights @ abs_sq) / meas.m)
 
     def test_matvec_zero_vector(self):
         _, meas = _instance(22)
