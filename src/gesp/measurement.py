@@ -36,8 +36,8 @@ class MeasurementSet:
             raise ValueError(f"sensing must be floating or complex, got dtype {self.sensing.dtype}")
         if not np.issubdtype(self.y.dtype, np.floating):  # an integer y**2 wraps, not overflows
             raise ValueError(f"y must be floating, got dtype {self.y.dtype}")
-        if self.sensing.ndim != 2:
-            raise ValueError("sensing must be an m x n array")
+        if self.sensing.ndim != 2 or 0 in self.sensing.shape:  # before any arithmetic on m or n
+            raise ValueError(f"sensing must be an m x n array with m, n >= 1, got shape {self.sensing.shape}")
         if self.y.shape != (self.sensing.shape[0],):
             raise ValueError("y length must match the sensing row count")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below and in spectrum.build

@@ -1,11 +1,12 @@
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gesp import bench, spectrum
-from gesp.eigensolver import max_eigvec
+from gesp import bench, eigensolver, spectrum
+from gesp.eigensolver import SOLVE_MIN, TOL, max_eigvec
 from gesp.pursuit import PStrategy, gesp
 
 from oracles import jacobi_eigh, jacobi_max_eigvec, phase_aligned_gap
@@ -171,7 +172,72 @@ class TestNearTies:
         assert phase_aligned_gap(v, ref_vec) < 1e-8
 
 
+def _example1_s1_submatrix():
+    """Z_{S1} of the first example1 trial, 64 x 64."""
+    config = bench.load_config(CONFIGS / "example1.json")
+    _, _, meas = bench.build_trial_instance(config, 0, 0)
+    est = gesp(meas, config.k, PStrategy.full_k())
+    return spectrum.submatrix(spectrum.build(meas, "exponential"), est.support)
+
+
+class TestSolveRoute:
+    """From order SOLVE_MIN on, the vector comes from eigvalsh plus one shifted solve."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        return calls
+
+    def _assert_matches_eigh(self, m, eigh_calls):
+        ref = np.linalg.eigh(m)[1][:, -1]
+        v = max_eigvec(m)
+        assert eigh_calls == [ref.shape * 2]  # only the reference above called eigh
+        tau, residual = _rayleigh(m, v)
+        assert residual <= TOL * max(1.0, abs(tau))
+        assert phase_aligned_gap(v, ref) <= 1e-12
+
+    @pytest.mark.parametrize("d", [12, 24, 48, 64])
+    def test_matches_eigh_on_random_hermitian(self, d, eigh_calls):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(5):
+            eigh_calls.clear()
+            self._assert_matches_eigh(_random_hermitian(rng, d), eigh_calls)
+
+    @pytest.mark.parametrize("d", [12, 24, 48, 64])
+    def test_matches_eigh_on_example1_s1_submatrix(self, d, eigh_calls):
+        sub = _example1_s1_submatrix()[:d, :d]
+        eigh_calls.clear()
+        self._assert_matches_eigh(sub, eigh_calls)
+
+    def test_singular_shift_falls_back_to_eigh(self, eigh_calls):
+        # the shifted diagonal matrix has an exact zero pivot, so the solve raises
+        entries = np.random.default_rng(61).permutation(SOLVE_MIN).astype(float)
+        v = max_eigvec(np.diag(entries).astype(complex))
+        assert eigh_calls == [(SOLVE_MIN, SOLVE_MIN)]
+        assert np.array_equal(v, np.eye(SOLVE_MIN)[int(np.argmax(entries))])
+
+
+def test_solve_route_keeps_every_discrete_output(monkeypatch):
+    # example1 (k = 64) with the ensemble, once as shipped and once with eigh at every order
+    config = bench.load_config(CONFIGS / "example1.json")
+    config = dataclasses.replace(
+        config, trials=2, algorithms=(*config.algorithms, bench.AlgorithmSpec(name="gesp", strategy=PStrategy.ensemble()))
+    )
+    solved = bench.run_sweep(config)
+    monkeypatch.setattr(eigensolver, "SOLVE_MIN", config.k + 1)
+    eigh_only = bench.run_sweep(config)
+    assert len(solved) == len(eigh_only) == 2 * 2 * 3
+    for a, b in zip(solved, eigh_only):
+        assert (a.algorithm, a.strategy, a.m, a.trial_index) == (b.algorithm, b.strategy, b.m, b.trial_index)
+        assert (a.p_used, a.support_fraction, a.error_flag) == (b.p_used, b.support_fraction, b.error_flag)
+        assert a.relative_error == pytest.approx(b.relative_error, rel=0, abs=1e-12)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
+@example(d=SOLVE_MIN - 1, seed=0, scale=1.0)  # the largest order on eigh alone
+@example(d=SOLVE_MIN, seed=0, scale=1.0)  # the smallest order on the shifted solve
 @given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_contract_on_random_hermitian(d, seed, scale):
     m = scale * _random_hermitian(np.random.default_rng(seed), d)

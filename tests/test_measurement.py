@@ -350,6 +350,18 @@ class TestMeasurementSetChecks:
         with pytest.raises(ValueError, match=message):
             MeasurementSet(sensing, y)
 
+    def test_zero_n_rejected_by_name(self):
+        # the block size 2**17 // n used to raise ZeroDivisionError here
+        with pytest.raises(ValueError, match=r"^sensing must be an m x n array with m, n >= 1, got shape \(3, 0\)$"):
+            MeasurementSet(np.ones((3, 0), complex), np.ones(3))
+
+    def test_zero_m_rejected_by_name_without_warning(self):
+        # the mean of an empty y used to warn "Mean of empty slice" first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^sensing must be an m x n array with m, n >= 1, got shape \(0, 3\)$"):
+                MeasurementSet(np.ones((0, 3), complex), np.ones(0))
+
 
 class TestDerivedLambdaSq:
     @staticmethod
