@@ -4,10 +4,10 @@ A sweep walks a grid of sampling ratios; every trial derives its own RNG
 stream from (base_seed, ratio_index, trial_index) via splitmix64, generates
 one signal and one measurement set, and feeds the *same* measurements to
 every configured algorithm (paired comparison).  Records come out in
-(ratio_index, trial_index, algorithm order), so on one numpy/BLAS build
-the output is byte-identical whatever the `threads` setting (float columns
-can differ in the last bit between builds and BLAS thread counts; see
-spectrum).
+(ratio_index, trial_index, algorithm order), so on one numpy/BLAS build the
+output is byte-identical whatever the `threads` setting, with BLAS pinned to
+one thread at `threads: 1` (float columns can differ in the last bit between
+builds and BLAS thread counts; see spectrum).
 
 Wall-clock timing is off by default for exactly that reason; set
 record_runtime in the config to populate the runtime_ms column (which then
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import product
@@ -36,6 +35,7 @@ from .signals import SignalModelSpec, SparseSignal, generate
 SCHEMA_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # read as numpy loads
 
 
 class ConfigError(ValueError):
@@ -146,9 +146,6 @@ class TrialRecord:
     support_fraction: float
     runtime_ms: float
     error_flag: int
-
-
-CSV_COLUMNS = tuple(field.name for field in fields(TrialRecord))  # declaration order
 
 
 @dataclass(frozen=True)
@@ -336,17 +333,28 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
 
 
 def run_sweep(config: BenchConfig) -> list[TrialRecord]:
-    """All (ratio, trial, algorithm) records in deterministic order.
-
-    The (ratio_index, trial_index) tasks go through one `map` that yields in
-    task order: the builtin on the caller's thread when `threads` is 1, else
-    a thread pool's, which cancels the queued trials when one raises or the
-    sweep is interrupted, so the sweep stops at once.
-    """
+    """All (ratio, trial, algorithm) records in deterministic order.  With
+    `threads` above 1 the trials run in that many spawned processes, which
+    start with BLAS_THREAD_VARS at 1 (the caller's values return after)."""
     tasks = product(range(len(config.ratio_grid)), range(config.trials))
-    with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        chunks = (pool.map if pool else map)(lambda task: _run_trial(config, *task), tasks)
-        return [record for chunk in chunks for record in chunk]  # algorithms in config order
+    if config.threads == 1:  # _run_trial is looked up per call, so a patched one is the one run
+        return [record for task in tasks for record in _run_trial(config, *task)]  # algorithms in config order
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    caller = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # workers load numpy before an initializer runs
+    try:
+        with ProcessPoolExecutor(config.threads, mp_context=get_context("spawn")) as pool:
+            futures = []
+            for task in tasks:
+                futures.append(pool.submit(_run_trial, config, *task))
+                if len(futures) > config.threads + 1:  # at most threads + 2 out, so a raise or Ctrl-C stops soon
+                    futures[-config.threads - 2].result()  # raises if that trial did
+            return [record for future in futures for record in future.result()]
+    finally:
+        for var in BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(caller)
 
 
 def aggregate(records) -> dict[tuple[str, str, float], AggregateStats]:
@@ -386,7 +394,7 @@ def write_csv(records, path) -> None:
     formats = [(field.name, _fmt if field.type == "float" else str) for field in fields(TrialRecord)]
     try:
         with open(path, "w", newline="\n") as f:
-            f.write(",".join(CSV_COLUMNS) + "\n")
+            f.write(",".join(name for name, _ in formats) + "\n")
             for rec in records:
                 f.write(",".join(fmt(getattr(rec, name)) for name, fmt in formats) + "\n")
             f.flush()

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  run     execute a configured sweep and write the records CSV
+  run     execute a sweep (in worker processes when threads > 1), write its CSV
   single  run one trial with step-by-step diagnostics
   signal  print the structure-function table and width-selection scan
   oracle  empirical-vs-expected spectrum convergence report
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import replace
 
@@ -26,9 +25,6 @@ from .measurement import measure, sample_sensing, sensing_layout
 from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
-
-# Thread-count variables that OpenBLAS, OpenMP and MKL read when numpy loads.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -50,7 +46,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--config", required=True, help="path to the JSON benchmark config")
     p_run.add_argument("--out", help="records CSV path (overrides the config's out_path)")
     p_run.add_argument("--seed", type=int, help="base seed override, in [0, 2^64)")
-    p_run.add_argument("--threads", type=int, help="worker thread override")
+    p_run.add_argument("--threads", type=int, help="worker count override; above 1, BLAS-pinned worker processes")
     p_run.add_argument("--plot-out", help="also write aggregated plot data to this path")
     p_run.set_defaults(func=_cmd_run)
 
@@ -79,11 +75,6 @@ def _cmd_run(args) -> int:
     # each flag given replaces its config field; BenchConfig rejects a seed outside [0, 2^64)
     overrides = dict(out_path=args.out, base_seed=args.seed, threads=args.threads)
     config = replace(load_config(args.config), **{key: v for key, v in overrides.items() if v is not None})
-    if config.threads > 1 and not any(os.environ.get(var) for var in BLAS_THREAD_VARS):
-        print(f"warning: threads={config.threads} but none of {', '.join(BLAS_THREAD_VARS)} is set, so each "
-              "worker's BLAS calls may start threads of their own; the README's 'Performance' section "
-              "measured such a sweep at several times the run time with OPENBLAS_NUM_THREADS=1",
-              file=sys.stderr)
     records = bench.run_sweep(config)
     bench.write_csv(records, config.out_path)
     print(f"wrote {len(records)} records to {config.out_path}")

@@ -1,8 +1,6 @@
 import json
 import math
 import pathlib
-import threading
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -28,6 +26,7 @@ from gesp.pursuit import PStrategy, gesp
 from gesp.signals import SignalModelSpec
 
 from oracles import StreamingMoments
+import sweep_tasks
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -316,23 +315,15 @@ class TestRunSweep:
             (ratio, ti, name) for ratio in (0.5, 1.0) for ti in range(3) for name in ("gesp", "esp")
         ]
 
-    def test_failing_trial_stops_threaded_sweep(self, monkeypatch):
+    def test_failing_trial_stops_threaded_sweep(self, monkeypatch, tmp_path):
         # every queued trial used to run after the first one raised
-        started, lock = [], threading.Lock()
-
-        def trial(config, ratio_index, trial_index):
-            with lock:
-                started.append((ratio_index, trial_index))
-            time.sleep(0.01)
-            if (ratio_index, trial_index) == (0, 0):
-                raise RuntimeError("trial failed")
-            return []
-
-        monkeypatch.setattr(bench, "_run_trial", trial)
+        log = tmp_path / "started.log"
+        monkeypatch.setenv(sweep_tasks.STARTED_LOG, str(log))  # the workers inherit it
+        monkeypatch.setattr(bench, "_run_trial", sweep_tasks.failing_trial)
         config = _mini_config(trials=20, threads=2)  # 2 ratios x 20 trials = 40 tasks
         with pytest.raises(RuntimeError, match="trial failed"):
             run_sweep(config)
-        assert len(started) <= config.threads + 2
+        assert len(log.read_text().splitlines()) <= config.threads + 2
 
     def test_paired_measurements_within_trial(self):
         records = run_sweep(_mini_config())

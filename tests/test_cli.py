@@ -1,16 +1,43 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from gesp import bench
-from gesp.bench import build_trial_instance, load_config
-from gesp.cli import BLAS_THREAD_VARS, cli_main
+from gesp.bench import BLAS_THREAD_VARS, build_trial_instance, load_config
+from gesp.cli import cli_main
 from gesp.measurement import save_measurements
 
+import sweep_tasks
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _cli_env() -> dict:
+    """This environment, with the package importable by `python -m gesp`."""
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _spawned_workers(session: int) -> list[int]:
+    """Pids of the live multiprocessing workers in the given session."""
+    pids = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()  # state, ppid, pgrp, session, ...
+            cmdline = (stat.parent / "cmdline").read_bytes()
+        except (OSError, IndexError):  # the process has exited
+            continue
+        if int(fields[3]) == session and fields[0] != "Z" and b"spawn_main" in cmdline:
+            pids.append(int(stat.parent.name))
+    return pids
 
 
 def _small_config(tmp_path, **overrides):
@@ -28,6 +55,21 @@ def _small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def _full_scale_config(tmp_path, **overrides):
+    """configs/full_scale.json (n = 1000) with the given keys replaced."""
+    raw = json.loads((REPO / "configs" / "full_scale.json").read_text())
+    path = tmp_path / "full_scale.json"
+    path.write_text(json.dumps(dict(raw, **overrides)))
+    return path
+
+
+def test_import_leaves_pool_machinery_out():
+    # bench used to import concurrent.futures whatever the threads setting
+    code = "import sys, gesp; print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))"
+    run = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 class TestRun:
@@ -53,25 +95,55 @@ class TestRun:
         assert "base_seed" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_unpinned_blas_threads_warn_once(self, tmp_path, capsys, monkeypatch):
-        config = _small_config(tmp_path)
+    def test_workers_start_with_blas_pinned(self, tmp_path, monkeypatch):
+        # a threaded sweep used to leave BLAS threads to the caller's environment
         for var in BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "a.csv"), "--threads", "1"]) == 0
-        quiet = capsys.readouterr()
-        assert quiet.err == ""
-        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "b.csv"), "--threads", "2"]) == 0
-        warned = capsys.readouterr()
-        assert warned.err.count("warning:") == 1 and "README" in warned.err
-        assert "OPENBLAS_NUM_THREADS" in warned.err
-        # stdout and the CSV bytes are unchanged by the warning
-        assert warned.out == quiet.out.replace("a.csv", "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
-            assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "c.csv"), "--threads", "2"]) == 0
-            assert capsys.readouterr().err == "", var
-            monkeypatch.delenv(var)
+        config = load_config(_small_config(tmp_path, trials=4, threads=2))
+        before = dict(os.environ)
+        monkeypatch.setattr(bench, "_run_trial", sweep_tasks.environment_trial)
+        seen = bench.run_sweep(config)
+        assert len(seen) == 2 * 4
+        assert all(env == ("1", "1", "1") for _pid, env in seen), seen
+        assert dict(os.environ) == before
+        monkeypatch.setenv(sweep_tasks.STARTED_LOG, str(tmp_path / "started.log"))
+        monkeypatch.setattr(bench, "_run_trial", sweep_tasks.failing_trial)
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            bench.run_sweep(config)
+        assert dict(os.environ) == before
+
+    def test_threaded_run_matches_pinned_serial_run(self, tmp_path):
+        # at n = 1000 the BLAS thread count moves the last bits of the float columns
+        config = _full_scale_config(tmp_path, trials=2)
+        unpinned = {key: value for key, value in _cli_env().items() if key not in BLAS_THREAD_VARS}
+        for threads, env in (("1", dict(unpinned, **dict.fromkeys(BLAS_THREAD_VARS, "1"))), ("2", unpinned)):
+            out = tmp_path / f"threads{threads}.csv"
+            argv = [sys.executable, "-m", "gesp", "run", "--config", str(config), "--out", str(out), "--threads", threads]
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+        assert (tmp_path / "threads1.csv").read_bytes() == (tmp_path / "threads2.csv").read_bytes()
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="reads the process table from /proc")
+    def test_interrupt_stops_threaded_run(self, tmp_path):
+        config = _full_scale_config(tmp_path, trials=100, out_path=str(tmp_path / "out.csv"))  # about a minute
+        argv = [sys.executable, "-m", "gesp", "run", "--config", str(config), "--threads", "2"]
+        proc = subprocess.Popen(argv, env=_cli_env(), start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not _spawned_workers(proc.pid):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(1.0)  # into the trials
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=5) != 0
+            assert _spawned_workers(proc.pid) == []
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     def test_seed_override_changes_results(self, tmp_path):
         config = _small_config(tmp_path)
