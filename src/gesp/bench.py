@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -36,6 +37,7 @@ SCHEMA_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")  # read as numpy loads
+_ENVIRON_LOCK = threading.Lock()  # held while a threaded sweep has BLAS_THREAD_VARS at 1 in os.environ
 
 
 class ConfigError(ValueError):
@@ -146,6 +148,9 @@ class TrialRecord:
     support_fraction: float
     runtime_ms: float
     error_flag: int
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(TrialRecord))  # declaration order
 
 
 @dataclass(frozen=True)
@@ -312,22 +317,11 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
             est = run_algorithm(algo, meas, config.k, sig)
             fields["runtime_ms"] = (clock() - start) * 1e3
             overlap = len(set(est.support.tolist()) & set(sig.support.tolist()))
-            fields.update(
-                p_used=est.p_used,
-                relative_error=relative_error(est.z, x),
-                raw_error=float(np.linalg.norm(est.z - x)) / nx,
-                support_fraction=overlap / config.k,
-                error_flag=0,
-            )
+            fields.update(p_used=est.p_used, relative_error=relative_error(est.z, x), error_flag=0,
+                          raw_error=float(np.linalg.norm(est.z - x)) / nx, support_fraction=overlap / config.k)
         except Exception:
-            fields.update(
-                runtime_ms=(clock() - start) * 1e3,
-                p_used=0,
-                relative_error=math.nan,
-                raw_error=math.nan,
-                support_fraction=math.nan,
-                error_flag=1,
-            )
+            fields.update(runtime_ms=(clock() - start) * 1e3, p_used=0, relative_error=math.nan, raw_error=math.nan,
+                          support_fraction=math.nan, error_flag=1)
         records.append(TrialRecord(**fields))
     return records
 
@@ -335,26 +329,29 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
 def run_sweep(config: BenchConfig) -> list[TrialRecord]:
     """All (ratio, trial, algorithm) records in deterministic order.  With
     `threads` above 1 the trials run in that many spawned processes, which
-    start with BLAS_THREAD_VARS at 1 (the caller's values return after)."""
+    ignore SIGINT and start with BLAS_THREAD_VARS at 1: os.environ holds those
+    until the pool is done, so threaded sweeps run one at a time."""
     tasks = product(range(len(config.ratio_grid)), range(config.trials))
     if config.threads == 1:  # _run_trial is looked up per call, so a patched one is the one run
         return [record for task in tasks for record in _run_trial(config, *task)]  # algorithms in config order
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    caller = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # workers load numpy before an initializer runs
-    try:
-        with ProcessPoolExecutor(config.threads, mp_context=get_context("spawn")) as pool:
-            futures = []
-            for task in tasks:
-                futures.append(pool.submit(_run_trial, config, *task))
-                if len(futures) > config.threads + 1:  # at most threads + 2 out, so a raise or Ctrl-C stops soon
-                    futures[-config.threads - 2].result()  # raises if that trial did
-            return [record for future in futures for record in future.result()]
-    finally:
-        for var in BLAS_THREAD_VARS:
-            os.environ.pop(var, None)
-        os.environ.update(caller)
+    from signal import SIG_IGN, SIGINT, signal
+    with _ENVIRON_LOCK:  # via os.environ: a worker re-runs a script caller's imports before any initializer
+        caller = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+        try:  # a Ctrl-C reaches the caller alone, which lets the running trials finish
+            os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+            with ProcessPoolExecutor(config.threads, get_context("spawn"), signal, (SIGINT, SIG_IGN)) as pool:
+                futures = []
+                for task in tasks:
+                    futures.append(pool.submit(_run_trial, config, *task))
+                    if len(futures) > config.threads + 1:  # at most threads + 2 out, so a raise or Ctrl-C stops soon
+                        futures[-config.threads - 2].result()  # raises if that trial did
+                return [record for future in futures for record in future.result()]
+        finally:
+            for var in BLAS_THREAD_VARS:
+                os.environ.pop(var, None)
+            os.environ.update(caller)
 
 
 def aggregate(records) -> dict[tuple[str, str, float], AggregateStats]:
@@ -394,7 +391,7 @@ def write_csv(records, path) -> None:
     formats = [(field.name, _fmt if field.type == "float" else str) for field in fields(TrialRecord)]
     try:
         with open(path, "w", newline="\n") as f:
-            f.write(",".join(name for name, _ in formats) + "\n")
+            f.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
                 f.write(",".join(fmt(getattr(rec, name)) for name, fmt in formats) + "\n")
             f.flush()

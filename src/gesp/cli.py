@@ -7,7 +7,7 @@ Subcommands:
   signal  print the structure-function table and width-selection scan
   oracle  empirical-vs-expected spectrum convergence report
 
-Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/usage error, 2 runtime error, 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def cli_main(argv) -> int:
     except Exception as exc:  # runtime failures: I/O, non-convergence, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # one line instead of a traceback; 130 is the shell's 128 + SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

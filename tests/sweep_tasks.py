@@ -5,6 +5,7 @@ its module path, so the workers run it where they would not see a closure.
 """
 
 import os
+import signal
 import time
 
 from gesp.bench import BLAS_THREAD_VARS
@@ -24,5 +25,8 @@ def failing_trial(config, ratio_index, trial_index):
 
 
 def environment_trial(config, ratio_index, trial_index):
-    """One entry per task: the worker's pid and its BLAS thread variables."""
-    return [(os.getpid(), tuple(os.environ.get(var) for var in BLAS_THREAD_VARS))]
+    """One entry per task, after 10 ms: the worker's pid, its BLAS thread
+    variables and whether it ignores SIGINT."""
+    time.sleep(0.01)
+    env = tuple(os.environ.get(var) for var in BLAS_THREAD_VARS)
+    return [(os.getpid(), env, signal.getsignal(signal.SIGINT) == signal.SIG_IGN)]

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -104,13 +105,34 @@ class TestRun:
         monkeypatch.setattr(bench, "_run_trial", sweep_tasks.environment_trial)
         seen = bench.run_sweep(config)
         assert len(seen) == 2 * 4
-        assert all(env == ("1", "1", "1") for _pid, env in seen), seen
+        assert all(env == ("1", "1", "1") for _pid, env, _ in seen), seen
+        assert all(ignores_sigint for *_, ignores_sigint in seen)  # a Ctrl-C is the caller's to handle
         assert dict(os.environ) == before
         monkeypatch.setenv(sweep_tasks.STARTED_LOG, str(tmp_path / "started.log"))
         monkeypatch.setattr(bench, "_run_trial", sweep_tasks.failing_trial)
         before = dict(os.environ)
         with pytest.raises(RuntimeError, match="trial failed"):
             bench.run_sweep(config)
+        assert dict(os.environ) == before
+
+    def test_overlapping_threaded_sweeps_restore_environ(self, tmp_path, monkeypatch):
+        # a sweep that starts while another has the variables at 1, and ends after it,
+        # must neither save those as the caller's values nor start its workers unpinned
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        short, long = (load_config(_small_config(tmp_path, trials=trials, threads=2)) for trials in (2, 20))
+        monkeypatch.setattr(bench, "_run_trial", sweep_tasks.environment_trial)
+        before = dict(os.environ)
+        with ThreadPoolExecutor(2) as callers:
+            first = callers.submit(bench.run_sweep, short)
+            while os.environ.get("OPENBLAS_NUM_THREADS") != "1":  # until the first sweep has pinned them
+                assert not first.done()
+                time.sleep(0.001)
+            second = callers.submit(bench.run_sweep, long)
+            sweeps = [first.result(), second.result()]
+        assert [len(seen) for seen in sweeps] == [2 * 2, 2 * 20]
+        assert all(env == ("1", "1", "1") for seen in sweeps for _pid, env, _ in seen), sweeps
         assert dict(os.environ) == before
 
     def test_threaded_run_matches_pinned_serial_run(self, tmp_path):
@@ -128,7 +150,7 @@ class TestRun:
         config = _full_scale_config(tmp_path, trials=100, out_path=str(tmp_path / "out.csv"))  # about a minute
         argv = [sys.executable, "-m", "gesp", "run", "--config", str(config), "--threads", "2"]
         proc = subprocess.Popen(argv, env=_cli_env(), start_new_session=True,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 60
             while not _spawned_workers(proc.pid):
@@ -136,7 +158,9 @@ class TestRun:
                 time.sleep(0.05)
             time.sleep(1.0)  # into the trials
             os.killpg(proc.pid, signal.SIGINT)
-            assert proc.wait(timeout=5) != 0
+            _, err = proc.communicate(timeout=5)
+            assert proc.returncode == 130
+            assert err == "interrupted\n"  # the workers ignore SIGINT, so no traceback of theirs either
             assert _spawned_workers(proc.pid) == []
         finally:
             try:
