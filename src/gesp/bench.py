@@ -72,6 +72,8 @@ class AlgorithmSpec:
             raise ConfigError(f"unknown algorithm {self.name!r}")
         if (self.strategy is None) == (self.name == "gesp"):
             raise ConfigError(f"a strategy is for gesp only, and gesp needs one; got {self.strategy} for {self.name!r}")
+        if self.tpm_iters != TPM_ITERS and self.name != "truncated_power":  # it would be ignored
+            raise ConfigError(f"tpm_iters is only valid for truncated_power, not {self.name!r}")
         if self.tpm_iters < 1:
             raise ConfigError(f"truncated_power iters must be >= 1, got {self.tpm_iters}")
 
@@ -334,7 +336,7 @@ def run_sweep(config: BenchConfig) -> list[TrialRecord]:
     tasks = product(range(len(config.ratio_grid)), range(config.trials))
     if config.threads == 1:  # _run_trial is looked up per call, so a patched one is the one run
         return [record for task in tasks for record in _run_trial(config, *task)]  # algorithms in config order
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
     from signal import SIG_IGN, SIGINT, signal
     with _ENVIRON_LOCK:  # via os.environ: a worker re-runs a script caller's imports before any initializer
@@ -348,6 +350,9 @@ def run_sweep(config: BenchConfig) -> list[TrialRecord]:
                     if len(futures) > config.threads + 1:  # at most threads + 2 out, so a raise or Ctrl-C stops soon
                         futures[-config.threads - 2].result()  # raises if that trial did
                 return [record for future in futures for record in future.result()]
+        except BrokenProcessPool as exc:
+            raise RuntimeError("a sweep worker exited early; one cause is a script that starts a threaded sweep "
+                               "outside `if __name__ == \"__main__\":`, as each worker imports it again") from exc
         finally:
             for var in BLAS_THREAD_VARS:
                 os.environ.pop(var, None)
@@ -394,7 +399,6 @@ def write_csv(records, path) -> None:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
                 f.write(",".join(fmt(getattr(rec, name)) for name, fmt in formats) + "\n")
-            f.flush()
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 

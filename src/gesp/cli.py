@@ -94,13 +94,11 @@ def _cmd_single(args) -> int:
         raise ConfigError(f"ratio {args.ratio} is not one of the config's ratios")
     if not 0 <= args.trial < config.trials:
         raise ConfigError(f"trial index {args.trial} outside [0, {config.trials})")
-    ratio_index = ratios.index(args.ratio)
-    ratio, m = config.ratio_grid[ratio_index]
-    seed, sig, meas = bench.build_trial_instance(config, ratio_index, args.trial)
+    seed, sig, meas = bench.build_trial_instance(config, ratios.index(args.ratio), args.trial)
     x = sig.vector
     nx_sq = float(np.vdot(x, x).real)
     print(f"trial seed={seed} model={config.signal.model} n={config.n} k={config.k} "
-          f"m={m} ratio={ratio:g} lambda_sq={meas.lambda_sq:.6g}")
+          f"m={meas.m} ratio={args.ratio:g} lambda_sq={meas.lambda_sq:.6g}")
     if args.verbose:
         digest = hashlib.sha256(sensing_layout(meas.sensing)).hexdigest()
         print(f"sensing sha256={digest}")
@@ -124,9 +122,7 @@ def _cmd_single(args) -> int:
 
 def _cmd_signal(args) -> int:
     config = load_config(args.config)
-    rng = np.random.default_rng(bench.trial_seed(config.base_seed, 0, 0))
-    sig = generate(config.signal, rng)
-    profile = sig.profile
+    profile = bench.build_trial_instance(config, 0, 0)[1].profile  # trial (0, 0)'s signal
     k = config.k
     print(f"model={config.signal.model} n={config.n} k={k} ||x||^2={profile.total_energy:.6g}")
     print("  p    s(p)          obj_global     obj_capped")

@@ -19,12 +19,10 @@ SOLVE_MIN = 12  # the smallest order whose vector comes from the shifted solve
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate v so its largest-modulus entry (smallest index on ties) is
-    real and non-negative."""
+    """Rotate the unit vector v so its largest-modulus entry (smallest index
+    on ties) is real and non-negative."""
     mods = np.abs(v)
     j = int(np.argmax(mods))
-    if mods[j] == 0.0:
-        return v
     out = v * (v[j].conj() / mods[j])
     out[j] = mods[j]  # exact realness; rounding residue is ~1 ulp
     return out

@@ -108,8 +108,6 @@ def residual_score(meas: MeasurementSet, z) -> float:
     if z.shape != (meas.n,):
         raise ValueError(f"vector length {z.size} does not match n={meas.n}")
     nz = np.flatnonzero(z)
-    if nz.size == 0:
-        return float(np.mean(meas.y**2))
     moduli = np.abs(meas.sensing[:, nz].conj() @ z[nz])
     return float(np.mean((meas.y - moduli) ** 2))
 

@@ -116,6 +116,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="iters must be >= 1"):
             AlgorithmSpec(name="truncated_power", tpm_iters=0)
 
+    @pytest.mark.parametrize("name, strategy, iters", [
+        ("esp", None, 5), ("diag_two_step", None, 3), ("gesp", PStrategy.full_k(), 7),
+    ])
+    def test_tpm_iters_only_for_truncated_power(self, name, strategy, iters):
+        # esp with tpm_iters=5 used to build and write the default's records
+        with pytest.raises(ConfigError, match=f"tpm_iters is only valid for truncated_power, not '{name}'"):
+            AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
+
     @pytest.mark.parametrize("name, strategy", [
         ("esp", PStrategy.full_k()), ("diag_two_step", PStrategy.sqrt_k()),
         ("truncated_power", PStrategy.fixed(1)),

@@ -15,6 +15,7 @@ from gesp import bench
 from gesp.bench import BLAS_THREAD_VARS, build_trial_instance, load_config
 from gesp.cli import cli_main
 from gesp.measurement import save_measurements
+from gesp.numerics import p_objective, p_opt
 
 import sweep_tasks
 
@@ -168,6 +169,20 @@ class TestRun:
             except ProcessLookupError:
                 pass
             proc.wait()
+
+    def test_unguarded_script_names_the_main_guard(self, tmp_path):
+        # each spawned worker re-runs the script, fails at once, and the caller got a bare BrokenProcessPool
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from gesp.bench import config_from_dict, run_sweep\n"
+            "run_sweep(config_from_dict({'schema_version': 1, 'n': 8, 'k': 2, 'ratios': [1.0], 'trials': 2,\n"
+            "    'base_seed': 0, 'threads': 2, 'signal': {'model': 'gaussian'}, 'algorithms': [{'algorithm': 'esp'}]}))\n"
+        )
+        run = subprocess.run([sys.executable, str(script)], env=_cli_env(), capture_output=True, text=True, timeout=120)
+        assert run.returncode != 0
+        last = run.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: a sweep worker exited early") and 'if __name__ == "__main__":' in last
+        assert "BrokenProcessPool" in run.stderr and "was the direct cause of the following exception" in run.stderr
 
     def test_seed_override_changes_results(self, tmp_path):
         config = _small_config(tmp_path)
@@ -330,6 +345,16 @@ class TestSignal:
         assert rows[8] == pytest.approx(2.0, abs=1e-9)
         assert rows[64] == pytest.approx(1.0, abs=1e-9)
         assert "p_opt[global]" in out and "p_opt[capped]" in out
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda path: path.stem)
+    def test_signal_is_first_trials_signal(self, path, capsys):
+        assert cli_main(["signal", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        config = load_config(path)
+        profile, k = build_trial_instance(config, 0, 0)[1].profile, config.k
+        assert lines[0] == f"model={config.signal.model} n={config.n} k={k} ||x||^2={profile.total_energy:.6g}"
+        best = {variant: p_opt(profile, k, variant) for variant in ("global", "capped")}
+        assert lines[-2:] == [f"p_opt[{v}] = {p} (objective {p_objective(profile, k, p, v):.6g})" for v, p in best.items()]
 
 
 class TestOracle:
