@@ -22,25 +22,14 @@ import numpy as np
 from . import bench, spectrum
 from .bench import ConfigError, load_config
 from .measurement import measure, sample_sensing, sensing_layout
-from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
+from .numerics import ceil_sqrt, dist, p_objective, p_opt, relative_error, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
 
 
-class _UsageError(Exception):
-    def __init__(self, message, parser):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message, self)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gesp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="gesp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a Monte Carlo sweep")
     p_run.add_argument("--config", required=True, help="path to the JSON benchmark config")
@@ -89,16 +78,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_single(args) -> int:
     config = load_config(args.config)
-    ratios = [r for r, _m in config.ratio_grid]
-    if args.ratio not in ratios:
+    if args.ratio not in config.ratios:
         raise ConfigError(f"ratio {args.ratio} is not one of the config's ratios")
     if not 0 <= args.trial < config.trials:
         raise ConfigError(f"trial index {args.trial} outside [0, {config.trials})")
-    seed, sig, meas = bench.build_trial_instance(config, ratios.index(args.ratio), args.trial)
+    ri = [m for _r, m in config.ratio_grid].index(round(args.ratio * config.n))  # a repeated m runs as its grid ratio
+    seed, sig, meas = bench.build_trial_instance(config, ri, args.trial)
     x = sig.vector
-    nx_sq = float(np.vdot(x, x).real)
     print(f"trial seed={seed} model={config.signal.model} n={config.n} k={config.k} "
-          f"m={meas.m} ratio={args.ratio:g} lambda_sq={meas.lambda_sq:.6g}")
+          f"m={meas.m} ratio={config.ratio_grid[ri][0]:g} lambda_sq={meas.lambda_sq:.6g}")
     if args.verbose:
         digest = hashlib.sha256(sensing_layout(meas.sensing)).hexdigest()
         print(f"sensing sha256={digest}")
@@ -109,11 +97,11 @@ def _cmd_single(args) -> int:
         overlap = np.intersect1d(est.support, sig.support)
         d = dist(est.z, x)
         print(f"[{label}] p_used={est.p_used} |S1 ∩ supp|={overlap.size}/{config.k} "
-              f"dist={d:.6g} rel_err={d / np.sqrt(nx_sq):.6g} residual={est.residual_score:.3g}")
+              f"dist={d:.6g} rel_err={relative_error(est.z, x):.6g} residual={est.residual_score:.3g}")
         if args.verbose and algo.name == "gesp":
             op = spectrum.build(meas, "exponential")
             e0 = step2_direction(op, est.s0)
-            captured = float(np.sum(np.abs(x[est.s0]) ** 2)) / nx_sq
+            captured = float(np.sum(np.abs(x[est.s0]) ** 2)) / sig.norm_sq
             print(f"    S0={est.s0.tolist()}")
             print(f"    ||x_S0||^2/||x||^2={captured:.6g}  |x* e0|={abs(complex(np.vdot(x, e0))):.6g}")
             print(f"    S1={est.support.tolist()}  S1∩supp={overlap.tolist()}")
@@ -160,17 +148,10 @@ def _cmd_oracle(args) -> int:
 
 
 def cli_main(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        print("error: a subcommand is required (run, single, signal, oracle)", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the failing command's usage and error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

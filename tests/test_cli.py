@@ -298,6 +298,18 @@ class TestUsageErrors:
         assert cli_main(["run"]) == 1
         assert "--config" in capsys.readouterr().err
 
+    def test_bad_int_value(self, capsys):
+        # the usage printed is the failing subcommand's, not the top-level one
+        assert cli_main(["oracle", "--n", "x"]) == 1
+        assert "usage: gesp oracle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=" ".join)
+def test_help_exits_0(argv, capsys):
+    # --help used to escape cli_main as SystemExit(0)
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: gesp")
+
 
 class TestSingle:
     def test_reproducible_diagnostics(self, tmp_path, capsys):
@@ -325,6 +337,17 @@ class TestSingle:
         config = _small_config(tmp_path)
         assert cli_main(["single", "--config", str(config), "--ratio", "0.33", "--trial", "0"]) == 1
         assert "ratio" in capsys.readouterr().err
+
+    def test_ratio_of_a_repeated_m_runs_as_its_grid_ratio(self, tmp_path, capsys):
+        # at n = 20, 0.52 and 0.5 both give m = 10; the sweep runs that m once, as ratio 0.5,
+        # and single used to reject 0.52 as not one of the config's ratios
+        config = _small_config(tmp_path, n=20, ratios=[0.5, 0.52, 1.0])
+        headers = []
+        for ratio in ("0.5", "0.52"):
+            assert cli_main(["single", "--config", str(config), "--ratio", ratio, "--trial", "0"]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0] == headers[1]
+        assert " m=10 ratio=0.5 " in headers[0]
 
     def test_trial_index_validated(self, tmp_path):
         config = _small_config(tmp_path)
