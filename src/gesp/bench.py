@@ -99,9 +99,9 @@ class BenchConfig:
         if not 0 <= self.base_seed <= _MASK64:
             raise ConfigError(f"base_seed {self.base_seed} outside [0, 2^64)")
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if not self.ratios:
@@ -392,13 +392,12 @@ def _fmt(x: float) -> str:
 def write_csv(records, path) -> None:
     """Records CSV with one column per TrialRecord field, 17-significant-digit
     floats, and LF newlines."""
-    # the annotations are strings (postponed evaluation), so "float" marks a float field
-    formats = [(field.name, _fmt if field.type == "float" else str) for field in fields(TrialRecord)]
     try:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                f.write(",".join(fmt(getattr(rec, name)) for name, fmt in formats) + "\n")
+                values = (getattr(rec, name) for name in CSV_COLUMNS)
+                f.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 

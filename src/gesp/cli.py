@@ -37,25 +37,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="base seed override, in [0, 2^64)")
     p_run.add_argument("--threads", type=int, help="worker count override; above 1, BLAS-pinned worker processes")
     p_run.add_argument("--plot-out", help="also write aggregated plot data to this path")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_single = sub.add_parser("single", help="run one trial with diagnostics")
     p_single.add_argument("--config", required=True)
     p_single.add_argument("--ratio", type=float, required=True, help="one of the config's ratios")
     p_single.add_argument("--trial", type=int, required=True, help="trial index")
     p_single.add_argument("--verbose", action="store_true", help="print per-step pursuit internals")
-    p_single.set_defaults(func=_cmd_single)
+    p_single.set_defaults(func=_cmd_single, parser=p_single)
 
     p_signal = sub.add_parser("signal", help="structure-function calculator for the configured signal")
     p_signal.add_argument("--config", required=True)
-    p_signal.set_defaults(func=_cmd_signal)
+    p_signal.set_defaults(func=_cmd_signal, parser=p_signal)
 
     p_oracle = sub.add_parser("oracle", help="spectrum-vs-expectation convergence report")
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--seed", type=int, required=True, help="in [0, 2^64)")
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(func=_cmd_oracle, parser=p_oracle)
 
     return parser
 
@@ -149,7 +149,9 @@ def _cmd_oracle(args) -> int:
 
 def cli_main(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # reported by the subcommand's own parser, so its usage is the one printed
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse has printed the help, or the failing command's usage and error
         return 1 if exc.code else 0
     try:

@@ -23,13 +23,13 @@ _MAGIC = b"SPRM1"
 WEIGHTINGS = ("exponential", "quadratic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     sensing: np.ndarray  # m x n complex, row i = a_i
     y: np.ndarray        # m non-negative moduli |a_i* x|
     lambda_sq: float = field(init=False)  # mean of y^2
-    weights: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)    # kind -> m w_i, read-only
-    diagonals: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)  # kind -> n entries, read-only
+    weights: dict[str, np.ndarray] = field(init=False, repr=False)    # kind -> m w_i, read-only
+    diagonals: dict[str, np.ndarray] = field(init=False, repr=False)  # kind -> n entries, read-only
 
     def __post_init__(self):
         if not np.issubdtype(self.sensing.dtype, np.inexact):
@@ -39,7 +39,7 @@ class MeasurementSet:
         if self.sensing.ndim != 2 or 0 in self.sensing.shape:  # before any arithmetic on m or n
             raise ValueError(f"sensing must be an m x n array with m, n >= 1, got shape {self.sensing.shape}")
         if self.y.shape != (self.sensing.shape[0],):
-            raise ValueError("y length must match the sensing row count")
+            raise ValueError(f"y must have shape ({self.m},), one modulus per sensing row, got {self.y.shape}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below and in spectrum.build
             y_sq = self.y**2
             object.__setattr__(self, "lambda_sq", float(np.mean(y_sq)))

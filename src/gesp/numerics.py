@@ -20,7 +20,7 @@ import numpy as np
 P_VARIANTS = ("global", "capped")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagnitudeProfile:
     """Squared entry magnitudes of a signal, sorted in descending order.
 
@@ -41,9 +41,9 @@ class MagnitudeProfile:
         if np.any(np.diff(mags) > 0):
             raise ValueError("squared magnitudes must be non-increasing")
         if self.total_energy <= 0 or not math.isfinite(self.total_energy):
-            raise ValueError("total energy must be positive and finite")
+            raise ValueError(f"total energy must be positive and finite, got {self.total_energy}")
         if abs(mags.sum() - self.total_energy) > 1e-12 * self.total_energy:
-            raise ValueError("profile does not sum to the stated total energy")
+            raise ValueError(f"profile sums to {mags.sum()}, not the stated total energy {self.total_energy}")
 
     @property
     def n(self) -> int:

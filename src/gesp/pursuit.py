@@ -74,7 +74,7 @@ class PStrategy:
         return cls(kind="ensemble")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitEstimate:
     z: np.ndarray          # length-n estimate with ||z||^2 = lambda_sq
     support: np.ndarray    # S1, the k estimated support indices

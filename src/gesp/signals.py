@@ -45,7 +45,7 @@ class SignalModelSpec:
             raise ValueError(f"example2 requires integer sqrt(k) and k^(1/4), got k={self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSignal:
     """A k-sparse complex signal; its support is its nonzero entries' indices."""
 
@@ -98,13 +98,7 @@ def _tiered_sq_mags(k: int, head: int, head_sq: float, c: float) -> np.ndarray:
 def _nonzero_values(spec: SignalModelSpec, rng: np.random.Generator) -> np.ndarray:
     k = spec.k
     if spec.model == "gaussian":
-        vals = math.sqrt(0.5) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        while np.any(vals == 0):  # exact-zero draws would break k-sparsity
-            regen = vals == 0
-            vals[regen] = math.sqrt(0.5) * (
-                rng.standard_normal(int(regen.sum())) + 1j * rng.standard_normal(int(regen.sum()))
-            )
-        return vals
+        return math.sqrt(0.5) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
     if spec.model == "binary":
         return np.ones(k, dtype=complex)
     if spec.model == "exp_decay":

@@ -21,7 +21,7 @@ from .measurement import WEIGHTINGS, MeasurementSet
 from .signals import SparseSignal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumOperator:
     meas: MeasurementSet
     weights: np.ndarray  # the set's weights and diagonal for one weighting
@@ -75,8 +75,6 @@ def matvec(op: SpectrumOperator, v) -> np.ndarray:
     if v.ndim not in (1, 2) or v.shape[0] != op.meas.n:
         raise ValueError(f"expected a length-{op.meas.n} vector or n x c block, got shape {v.shape}")
     nz = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
-    if nz.size == 0:
-        return np.zeros(v.shape, dtype=complex)
     coeffs = a[:, nz].conj() @ v[nz]
     weights = op.weights if v.ndim == 1 else op.weights[:, None]
     return a.T @ (weights * coeffs) / op.meas.m

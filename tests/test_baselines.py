@@ -91,6 +91,12 @@ class TestDiagTwoStep:
         assert est.support.size == 6
         assert np.linalg.norm(est.z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [0, 25])
+    def test_k_outside_range_rejected(self, k):
+        _, meas = _instance(21)
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=24$"):
+            diag_two_step_init(meas, k)
+
     def test_estimate_supported_on_selection(self):
         _, meas = _instance(21)
         est = diag_two_step_init(meas, 6)

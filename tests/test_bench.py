@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -110,6 +111,10 @@ class TestConfig:
                 "base_seed": 0, "signal": {"model": "gaussian"},
                 "algorithms": [{"algorithm": "copram"}],
             })
+
+    def test_unknown_algorithm_rejected_by_constructor(self):
+        with pytest.raises(ConfigError, match="^unknown algorithm 'copram'$"):
+            AlgorithmSpec(name="copram")
 
     def test_truncated_power_iters_checked_by_constructor(self):
         # the loader rejected "iters": 0, the constructor used to accept it
@@ -262,6 +267,34 @@ class TestStrictConfig:
         # null used to load as the file name "None", 5 as "5"
         with pytest.raises(ConfigError, match="^out_path must be a string, got "):
             config_from_dict(_raw_config(out_path=value))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ({"algorithms": []}, "at least one algorithm is required"),
+        ({"ratios": []}, "at least one ratio is required"),
+        ({"signal": "gaussian"}, "signal must be a JSON object, got 'gaussian'"),
+        ({"algorithms": ["esp"]}, "algorithms[0] must be an object with an 'algorithm' key: 'esp'"),
+        ({"ratios": [1.0, "0.5"]}, "ratios[1] must be a number, got '0.5'"),
+    ], ids=["trials", "threads", "no-algorithms", "no-ratios", "signal-string", "algorithm-string", "ratio-string"])
+    def test_bad_value_rejected_by_name(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(_raw_config(**overrides))
+
+    def test_type_error_is_wrapped(self):
+        with pytest.raises(ConfigError, match="^invalid config value: 'int' object is not iterable$") as info:
+            config_from_dict(_raw_config(ratios=5))
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="^config must be a JSON object, got list$"):
+            config_from_dict([_raw_config()])
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_raw_config())[:-1])
+        with pytest.raises(ConfigError, match=f"^config {re.escape(str(path))} is not valid JSON: "):
+            load_config(path)
 
     def test_non_finite_target_norm_rejected_from_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -460,6 +493,11 @@ class TestWritePlotData:
         text = path.read_text()
         blocks = [b for b in text.split("\n\n") if b.strip()]
         assert len(blocks) == 2  # one per algorithm
+
+    def test_unwritable_path_names_it(self, tmp_path):
+        path = tmp_path / "no_such_dir" / "plot.dat"
+        with pytest.raises(OSError, match=f"^failed writing plot data to {re.escape(str(path))}: "):
+            write_plot_data({}, path)
 
 
 class TestRuntimeRecording:

@@ -180,7 +180,8 @@ class TestRun:
         )
         run = subprocess.run([sys.executable, str(script)], env=_cli_env(), capture_output=True, text=True, timeout=120)
         assert run.returncode != 0
-        last = run.stderr.strip().splitlines()[-1]
+        # the terminated workers' nested pools can leave a resource_tracker warning after the caller's error
+        last = [line for line in run.stderr.strip().splitlines() if "resource_tracker" not in line][-1]
         assert last.startswith("RuntimeError: a sweep worker exited early") and 'if __name__ == "__main__":' in last
         assert "BrokenProcessPool" in run.stderr and "was the direct cause of the following exception" in run.stderr
 
@@ -293,6 +294,16 @@ class TestUsageErrors:
         assert cli_main(["run", "--config", str(config), "--parallel", "8"]) == 1
         err = capsys.readouterr().err
         assert "usage" in err and "--parallel" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "c.json"], ["oracle", "--n", "4", "--k", "2", "--m", "9", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_flag_reported_by_the_subcommand(self, argv, capsys):
+        # the top-level parser used to report it, with `usage: gesp [-h] {run,single,signal,oracle} ...`
+        assert cli_main([*argv, "--parallel", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gesp {argv[0]} ")
+        assert err.endswith(f"gesp {argv[0]}: error: unrecognized arguments: --parallel 8\n")
 
     def test_missing_required_flag(self, capsys):
         assert cli_main(["run"]) == 1

@@ -159,8 +159,7 @@ class TestNearTies:
         assert tau == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-12, abs=1e-12)
 
     def test_example1_s1_submatrix_k64(self):
-        # Z_{S1} of the first example1 trial: the power iteration needed
-        # 381 iterations on it
+        # Z_{S1} of the first example1 trial, at order 64 on the eigvalsh-and-solve route
         config = bench.load_config(CONFIGS / "example1.json")
         _, _, meas = bench.build_trial_instance(config, 0, 0)
         est = gesp(meas, config.k, PStrategy.full_k())

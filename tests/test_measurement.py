@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -259,6 +260,12 @@ class TestBinaryDump:
         with pytest.raises(ValueError, match=r"meas\.bin: header gives n=0, m=3"):
             load_measurements(path)
 
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "meas.bin"
+        path.write_bytes(b"SPRM1" + b"\x00" * 4)
+        with pytest.raises(ValueError, match=r"meas\.bin: truncated file: expected at least 21 bytes of header, got 9$"):
+            load_measurements(path)
+
     def test_load_holds_one_sensing_matrix(self, tmp_path):
         # the whole file as bytes plus a converted copy used to be held at
         # once, and then the set's m x n |A|^2
@@ -349,6 +356,13 @@ class TestMeasurementSetChecks:
     def test_non_float_dtype_rejected(self, sensing, y, message):
         with pytest.raises(ValueError, match=message):
             MeasurementSet(sensing, y)
+
+    @pytest.mark.parametrize("y", [np.ones(2), np.ones(4), np.ones((3, 1))], ids=["short", "long", "column"])
+    def test_y_shape_must_match_rows(self, y):
+        sensing, _ = self._parts()
+        message = f"y must have shape (3,), one modulus per sensing row, got {y.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementSet(sensing=sensing, y=y)
 
     def test_zero_n_rejected_by_name(self):
         # the block size 2**17 // n used to raise ZeroDivisionError here

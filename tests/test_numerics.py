@@ -143,6 +143,19 @@ class TestMagnitudeProfile:
         with pytest.raises(ValueError):
             MagnitudeProfile(np.array([1.0, 2.0]), total_energy=3.0)
 
+    @pytest.mark.parametrize("mags, total, message", [
+        ([], 1.0, "profile must be a non-empty 1-d sequence"),
+        ([[1.0]], 1.0, "profile must be a non-empty 1-d sequence"),
+        ([1.0, -0.5], 0.5, "squared magnitudes must be finite and non-negative"),
+        ([1.0, np.nan], 1.0, "squared magnitudes must be finite and non-negative"),
+        ([0.0], 0.0, "total energy must be positive and finite, got 0.0"),
+        ([1.0], np.inf, "total energy must be positive and finite, got inf"),
+        ([2.0, 1.0], 4.0, "profile sums to 3.0, not the stated total energy 4.0"),
+    ], ids=["empty", "2-d", "negative", "nan", "zero-total", "infinite-total", "wrong-total"])
+    def test_each_check_raises_its_message(self, mags, total, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MagnitudeProfile(np.array(mags), total_energy=total)
+
 
 class TestStructureFunction:
     def test_example1_k64(self):
@@ -231,6 +244,10 @@ class TestTopK:
     def test_non_finite_values_rejected(self, values):
         with pytest.raises(ValueError, match="values must be finite"):
             top_k_indices(values, 1)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError, match="^values must be a vector or a block of rows$"):
+            top_k_indices(3.0, 1)
 
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):

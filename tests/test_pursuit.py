@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,12 @@ class TestResidualScore:
         _, meas = _instance(22)
         assert residual_score(meas, np.zeros(8, complex)) == meas.lambda_sq
 
+    @pytest.mark.parametrize("z", [np.zeros(7, complex), np.zeros((8, 1), complex)], ids=["short", "column"])
+    def test_length_mismatch_names_it(self, z):
+        _, meas = _instance(22)
+        with pytest.raises(ValueError, match=f"^vector length {z.size} does not match n=8$"):
+            residual_score(meas, z)
+
 
 class TestStrategies:
     def test_fixed_one_equals_esp_baseline(self):
@@ -138,6 +145,12 @@ class TestStrategies:
         _, meas = _instance(34)
         with pytest.raises(ValueError):
             gesp(meas, 3, PStrategy.known_structure())
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_k_outside_range_rejected(self, k):
+        _, meas = _instance(35)
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=8$"):
+            gesp(meas, k)
 
     def test_fixed_p_above_k_rejected(self):
         _, meas = _instance(35)
@@ -177,7 +190,7 @@ class TestStrategies:
             assert ens.s0.tolist() == win.s0.tolist()
 
     def test_one_diagonal_per_call(self, monkeypatch):
-        # every width of one gesp call shares a single O(mn) diagonal
+        # every width of one gesp call shares one lookup of the set's diagonal
         sig, meas = _instance(36, n=16, k=5, m=80)
         diagonal, calls = spectrum.diagonal, []
         monkeypatch.setattr(spectrum, "diagonal", lambda op: calls.append(op) or diagonal(op))
@@ -311,3 +324,15 @@ class TestPipelineInvariants:
                 est = gesp(meas, 8, PStrategy.known_structure(), true_profile=sig.profile)
                 errs[m].append(relative_error(est.z, sig.vector))
         assert np.mean(errs[1024]) < np.mean(errs[128])
+
+
+@pytest.mark.parametrize("name", ["signal", "profile", "measurements", "spectrum", "estimate"])
+def test_array_dataclasses_compare_and_hash_by_identity(name):
+    # the generated __eq__ compared the arrays and raised ValueError on two instances, __hash__ TypeError
+    sig, meas = _instance(40)
+    objects = dict(signal=sig, profile=sig.profile, measurements=meas, spectrum=spectrum.build(meas),
+                   estimate=gesp(meas, 3))
+    obj = objects[name]
+    twin = dataclasses.replace(obj)
+    assert obj == obj and obj != twin
+    assert len({obj, twin, obj}) == 2

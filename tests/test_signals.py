@@ -46,6 +46,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalModelSpec(model="sparse", n=10, k=2)
 
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, 0), (0, 1)])
+    def test_size_out_of_range(self, n, k):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n={n}$"):
+            SignalModelSpec(model="gaussian", n=n, k=k)
+
     def test_example1_k_constraint(self):
         SignalModelSpec(model="example1", n=128, k=64)
         with pytest.raises(ValueError):

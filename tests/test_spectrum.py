@@ -44,6 +44,11 @@ class TestBuild:
         assert np.all(quad >= 0)
         assert np.allclose(quad, meas.y**2)
 
+    def test_unknown_weighting_rejected(self):
+        _, meas = _instance(1)
+        with pytest.raises(ValueError, match="^unknown weighting 'cubic'; expected one of "):
+            build(meas, "cubic")
+
     def test_degenerate_measurements_rejected(self):
         meas = MeasurementSet(sensing=np.ones((2, 2), dtype=complex), y=np.zeros(2))
         with pytest.raises(ValueError):
