@@ -110,23 +110,23 @@ def structure_function(profile: MagnitudeProfile, p: int) -> float:
 
 
 def top_k_indices(values, k: int) -> np.ndarray:
-    """Indices of the k largest values of each row, smaller index first on ties.
+    """Indices of the k largest entries of a vector, smaller index first on ties.
 
-    Returned sorted ascending, so each row's result is a canonical index set.
+    Returned sorted ascending, so the result is a canonical index set.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim == 0:
-        raise ValueError("values must be a vector or a block of rows")
+    if vals.ndim != 1:
+        raise ValueError(f"values must be a 1-d vector, got shape {vals.shape}")
     if not np.isfinite(vals).all():
         raise ValueError("values must be finite")
-    if not 1 <= k <= vals.shape[-1]:
-        raise ValueError(f"k must be in [1, {vals.shape[-1]}], got {k}")
-    cut = np.partition(vals, -k, axis=-1)[..., -k, None]  # each row's k-th largest
+    if not 1 <= k <= vals.size:
+        raise ValueError(f"k must be in [1, {vals.size}], got {k}")
+    cut = np.partition(vals, -k)[-k]  # the k-th largest
     keep = vals >= cut
-    if np.count_nonzero(keep) > keep.size // vals.shape[-1] * k:  # ties at a cut go to the lowest indices
+    if np.count_nonzero(keep) > k:  # ties at the cut go to the lowest indices
         above, tied = vals > cut, vals == cut
-        keep = above | (tied & (np.cumsum(tied, axis=-1) <= k - above.sum(axis=-1, keepdims=True)))
-    return np.nonzero(keep)[-1].reshape(vals.shape[:-1] + (k,))
+        keep = above | (tied & (np.cumsum(tied) <= k - np.count_nonzero(above)))
+    return np.flatnonzero(keep)
 
 
 def ceil_sqrt(k: int) -> int:

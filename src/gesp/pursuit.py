@@ -11,10 +11,10 @@ Given phaseless measurements of a k-sparse signal, the pipeline
 Every strategy resolves to a range of widths: fixed, known_structure
 (derived from the true energy profile, an oracle regime), sqrt_k and full_k
 give one width, ensemble gives all of [k].  gesp scans the range once over
-one spectrum and diagonal: steps 1-2 per width, step 3 for all widths as one
-block product, step 4 once per distinct S1, and keeps the estimate most
-consistent with the measurements.  The baselines finish their own
-supports with the same step 4 and residual_score.
+one spectrum and diagonal: steps 1-3 per width, step 4 once per distinct S1,
+and keeps the estimate most consistent with the measurements, so the
+ensemble's estimate is its winning width's run bit for bit.  The baselines
+finish their own supports with the same step 4 and residual_score.
 """
 
 from __future__ import annotations
@@ -92,9 +92,8 @@ def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
 
 
 def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
-    """Indices of the k largest-modulus entries of Z e0.  An n x c block e0
-    takes one product, and row j of the c x k result is column j's S1."""
-    return top_k_indices(np.abs(spectrum.matvec(op, e0)).T, k)
+    """Indices of the k largest-modulus entries of Z e0, sorted ascending."""
+    return top_k_indices(np.abs(spectrum.matvec(op, e0)), k)
 
 
 def step4_estimate(op: spectrum.SpectrumOperator, s1) -> np.ndarray:
@@ -129,11 +128,12 @@ def gesp(
 
     ensemble allows every p in [k], each other strategy one p.  The
     exponential spectrum and its diagonal are computed once and shared by
-    all widths, and step 3 is one block product over them.  Step 4 and the
-    residual depend on S1 alone, so each distinct S1 is finished once, at
-    the smallest width that selects it.  known_structure needs the true
-    signal's MagnitudeProfile (an oracle input: it reproduces the regime
-    where the energy structure is known).
+    all widths, and steps 1-3 run per width, so each width's S1 is the one
+    a fixed run at that width selects.  Step 4 and the residual depend on
+    S1 alone, so each distinct S1 is finished once, at the smallest width
+    that selects it.  known_structure needs the true signal's
+    MagnitudeProfile (an oracle input: it reproduces the regime where the
+    energy structure is known).
     """
     if not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
@@ -152,10 +152,10 @@ def gesp(
     widths = range(1 if strategy.kind == "ensemble" else p, p + 1)
     op = spectrum.build(meas, "exponential")
     diag = spectrum.diagonal(op)
-    s0s = [top_k_indices(diag, w) for w in widths]  # step 1
-    s1s = step3_select_s1(op, np.column_stack([step2_direction(op, s0) for s0 in s0s]), k)
     finished = {}  # S1 bytes -> its estimate at the smallest width selecting it
-    for w, s0, s1 in zip(widths, s0s, s1s):
+    for w in widths:
+        s0 = top_k_indices(diag, w)  # step 1
+        s1 = step3_select_s1(op, step2_direction(op, s0), k)
         if s1.tobytes() not in finished:
             finished[s1.tobytes()] = _finish(op, s1, w, s0)
     return min(finished.values(), key=lambda est: est.residual_score)

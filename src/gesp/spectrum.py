@@ -5,10 +5,10 @@ w_i = 1/2 - exp(-y_i^2 / lambda_sq), for the pursuit, and quadratic,
 w_i = y_i^2, for the prior two-step method.  Z is never an n x n array on
 the algorithm path: the solver needs only its diagonal (the set's sum of one
 product per block of sensing rows), small principal submatrices, and products
-with sparse vectors or blocks of them.  Results are bit-identical across runs
-on one numpy/BLAS build and BLAS thread count; the summation order (and so
-the last bit) depends on the build, its CPU kernel, the operands' memory
-layout and, for products as large as n = 1000, that count.
+with sparse vectors.  Results are bit-identical across runs on one numpy/BLAS
+build and BLAS thread count; the summation order (and so the last bit)
+depends on the build, its CPU kernel, the operands' memory layout and, for
+products as large as n = 1000, that count.
 """
 
 from __future__ import annotations
@@ -68,22 +68,19 @@ def matvec(op: SpectrumOperator, v) -> np.ndarray:
 
     Cost O(m (||v||_0 + n)): the inner products touch only the nonzero
     coordinates of v, the rank-one accumulation is a dense m x n product.
-    An n x c block v costs one such pass, as two GEMMs, for all c columns.
     """
     v = np.asarray(v, dtype=complex)
     a = op.meas.sensing
-    if v.ndim not in (1, 2) or v.shape[0] != op.meas.n:
-        raise ValueError(f"expected a length-{op.meas.n} vector or n x c block, got shape {v.shape}")
-    nz = np.flatnonzero(v if v.ndim == 1 else v.any(axis=1))
-    coeffs = a[:, nz].conj() @ v[nz]
-    weights = op.weights if v.ndim == 1 else op.weights[:, None]
-    return a.T @ (weights * coeffs) / op.meas.m
+    if v.shape != (op.meas.n,):
+        raise ValueError(f"expected a length-{op.meas.n} vector, got shape {v.shape}")
+    nz = np.flatnonzero(v)
+    return a.T @ (op.weights * (a[:, nz].conj() @ v[nz])) / op.meas.m
 
 
 def expectation_oracle(x: SparseSignal) -> np.ndarray:
     """Mean of the exponential spectrum built with true-norm weights:
     x x* / (4 ||x||^2), a rank-one Hermitian matrix with trace 1/4.
 
-    Test-only helper; intended for small n.
+    Dense n x n, so intended for small n: `gesp oracle` and the tests use it.
     """
     return np.outer(x.vector, x.vector.conj()) / (4.0 * x.norm_sq)

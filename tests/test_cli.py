@@ -150,7 +150,9 @@ class TestRun:
     def test_interrupt_stops_threaded_run(self, tmp_path):
         config = _full_scale_config(tmp_path, trials=100, out_path=str(tmp_path / "out.csv"))  # about a minute
         argv = [sys.executable, "-m", "gesp", "run", "--config", str(config), "--threads", "2"]
+        # SIGINT at its default in the child, even where pytest was started with it ignored
         proc = subprocess.Popen(argv, env=_cli_env(), start_new_session=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 60

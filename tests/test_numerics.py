@@ -222,38 +222,38 @@ class TestTopK:
 
     @pytest.mark.parametrize("rows, n, k", [(64, 128, 64), (10, 1000, 10), (10, 200, 10)])
     def test_block_ranks_each_row_as_a_vector(self, rows, n, k):
-        # few distinct values, so most rows have ties at the k-th place
+        # each row of a block, ranked as a vector; few distinct values, so
+        # most rows have ties at the k-th place
         values = np.random.default_rng(8).integers(0, 4, size=(rows, n)).astype(float)
-        got = top_k_indices(values, k)
-        assert got.shape == (rows, k)
-        assert np.array_equal(got, np.array([topk_sorted(row, k) for row in values]))
+        for row in values:
+            assert np.array_equal(top_k_indices(row, k), topk_sorted(row, k))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(data=st.data(), rows=st.integers(0, 4), n=st.integers(1, 40), tied=st.booleans())
-    def test_is_the_stable_argsort_selection(self, data, rows, n, tied):
-        # rows = 0 is a vector; tied draws integer-valued entries, -0.0 beside 0.0
-        shape = (n,) if rows == 0 else (rows, n)
-        size = math.prod(shape)
+    @given(data=st.data(), n=st.integers(1, 40), tied=st.booleans())
+    def test_is_the_stable_argsort_selection(self, data, n, tied):
+        # tied draws integer-valued entries, -0.0 beside 0.0
         entries = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]) if tied else st.floats(-1e6, 1e6)
-        values = np.array(data.draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+        values = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
         k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
-        expected = np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
+        expected = np.sort(np.argsort(-values, kind="stable")[:k])
         assert np.array_equal(top_k_indices(values, k), expected)
 
-    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [[1.0, 2.0], [-np.inf, 0.0]]])
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [-np.inf, 0.0]])
     def test_non_finite_values_rejected(self, values):
         with pytest.raises(ValueError, match="values must be finite"):
             top_k_indices(values, 1)
 
     def test_scalar_rejected(self):
-        with pytest.raises(ValueError, match="^values must be a vector or a block of rows$"):
+        with pytest.raises(ValueError, match=r"^values must be a 1-d vector, got shape \(\)$"):
             top_k_indices(3.0, 1)
+
+    def test_block_rejected_naming_its_shape(self):
+        with pytest.raises(ValueError, match=r"^values must be a 1-d vector, got shape \(5, 2\)$"):
+            top_k_indices(np.ones((5, 2)), 1)
 
     def test_k_too_large_raises(self):
         with pytest.raises(ValueError):
             top_k_indices([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            top_k_indices(np.ones((5, 2)), 3)
 
 
 class TestCeilSqrt:
