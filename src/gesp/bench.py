@@ -96,6 +96,12 @@ class BenchConfig:
     record_runtime: bool = False
 
     def __post_init__(self):
+        for name in ("trials", "base_seed", "threads"):  # an integral float becomes its int
+            object.__setattr__(self, name, _int(getattr(self, name), name))
+        if not isinstance(self.record_runtime, bool):
+            raise ConfigError(f"record_runtime must be true or false, got {self.record_runtime!r}")
+        if not isinstance(self.out_path, str):
+            raise ConfigError(f"out_path must be a string, got {self.out_path!r}")
         if not 0 <= self.base_seed <= _MASK64:
             raise ConfigError(f"base_seed {self.base_seed} outside [0, 2^64)")
         if self.trials < 1:
@@ -253,21 +259,13 @@ def config_from_dict(raw: dict) -> BenchConfig:
         if "decay" in sig_raw and model != "exp_decay":  # even at its default, which generate would ignore
             raise ConfigError(f"signal.decay is only valid for the exp_decay model, not {model!r}")
         signal = SignalModelSpec(model, n, k, _float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"))
-        record_runtime = raw.get("record_runtime", BenchConfig.record_runtime)
-        if not isinstance(record_runtime, bool):
-            raise ConfigError(f"record_runtime must be true or false, got {record_runtime!r}")
-        out_path = raw.get("out_path", BenchConfig.out_path)
-        if not isinstance(out_path, str):
-            raise ConfigError(f"out_path must be a string, got {out_path!r}")
         return BenchConfig(
             ratios=tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(raw["ratios"])),
-            trials=_int(raw["trials"], "trials"),
-            base_seed=_int(raw["base_seed"], "base_seed"),
+            trials=raw["trials"],
+            base_seed=raw["base_seed"],
             signal=signal,
             algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]", k) for i, a in enumerate(raw["algorithms"])),
-            threads=_int(raw.get("threads", BenchConfig.threads), "threads"),
-            out_path=out_path,
-            record_runtime=record_runtime,
+            **{key: raw[key] for key in ("threads", "out_path", "record_runtime") if key in raw},
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from exc
@@ -318,7 +316,7 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
         try:
             est = run_algorithm(algo, meas, config.k, sig)
             fields["runtime_ms"] = (clock() - start) * 1e3
-            overlap = len(set(est.support.tolist()) & set(sig.support.tolist()))
+            overlap = np.intersect1d(est.support, sig.support, assume_unique=True).size  # two index sets
             fields.update(p_used=est.p_used, relative_error=relative_error(est.z, x), error_flag=0,
                           raw_error=float(np.linalg.norm(est.z - x)) / nx, support_fraction=overlap / config.k)
         except Exception:
@@ -331,22 +329,29 @@ def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[
 def run_sweep(config: BenchConfig) -> list[TrialRecord]:
     """All (ratio, trial, algorithm) records in deterministic order.  With
     `threads` above 1 the trials run in that many spawned processes, which
-    ignore SIGINT and start with BLAS_THREAD_VARS at 1: os.environ holds those
-    until the pool is done, so threaded sweeps run one at a time."""
+    start with SIGINT blocked (or ignored) and BLAS_THREAD_VARS at 1: os.environ
+    holds those until the pool is done, so threaded sweeps run one at a time."""
     tasks = product(range(len(config.ratio_grid)), range(config.trials))
     if config.threads == 1:  # _run_trial is looked up per call, so a patched one is the one run
         return [record for task in tasks for record in _run_trial(config, *task)]  # algorithms in config order
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
-    from signal import SIG_IGN, SIGINT, signal
+    import signal
+    sigmask = getattr(signal, "pthread_sigmask", None)  # where it is missing, a worker ignores SIGINT once initialised
     with _ENVIRON_LOCK:  # via os.environ: a worker re-runs a script caller's imports before any initializer
         caller = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
         try:  # a Ctrl-C reaches the caller alone, which lets the running trials finish
             os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-            with ProcessPoolExecutor(config.threads, get_context("spawn"), signal, (SIGINT, SIG_IGN)) as pool:
+            with ProcessPoolExecutor(config.threads, get_context("spawn"), signal.signal,
+                                     (signal.SIGINT, signal.SIG_IGN)) as pool:
                 futures = []
-                for task in tasks:
-                    futures.append(pool.submit(_run_trial, config, *task))
+                for task in tasks:  # a worker spawned by a submit inherits its SIGINT block, as in resource_tracker
+                    caller_mask = sigmask and sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        futures.append(pool.submit(_run_trial, config, *task))
+                    finally:
+                        if sigmask:
+                            sigmask(signal.SIG_SETMASK, caller_mask)
                     if len(futures) > config.threads + 1:  # at most threads + 2 out, so a raise or Ctrl-C stops soon
                         futures[-config.threads - 2].result()  # raises if that trial did
                 return [record for future in futures for record in future.result()]

@@ -46,10 +46,10 @@ def max_eigvec(mat) -> np.ndarray:
     """Unit, phase-canonical eigenvector of the largest algebraic eigenvalue
     of a Hermitian matrix.
 
-    With tau its Rayleigh quotient, the residual norm sqrt(r* r),
-    r = M v - tau v, must be at most TOL * max(1, |tau|).  The first candidate
-    that passes is returned; if eigh's fails too, np.linalg.LinAlgError is
-    raised: a larger residual means the input was not Hermitian or not finite.
+    With tau its Rayleigh quotient, the residual norm ||M v - tau v|| must be
+    at most TOL * max(1, |tau|).  The first candidate that passes is returned;
+    if eigh's fails too, np.linalg.LinAlgError is raised: a larger residual
+    means the input was not Hermitian or not finite.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -57,8 +57,7 @@ def max_eigvec(mat) -> np.ndarray:
     for v in map(_canonical_phase, _candidates(m)):
         mv = m @ v
         tau = float(np.vdot(v, mv).real)
-        r = mv - tau * v
-        residual = float(np.sqrt(np.vdot(r, r).real))
+        residual = float(np.linalg.norm(mv - tau * v))
         if residual <= TOL * max(1.0, abs(tau)):
             return v
     raise np.linalg.LinAlgError(f"eigenpair residual {residual:.3e} exceeds tolerance {TOL:.1e} * max(1, |{tau:.6g}|)")

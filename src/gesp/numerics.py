@@ -121,12 +121,7 @@ def top_k_indices(values, k: int) -> np.ndarray:
         raise ValueError("values must be finite")
     if not 1 <= k <= vals.size:
         raise ValueError(f"k must be in [1, {vals.size}], got {k}")
-    cut = np.partition(vals, -k)[-k]  # the k-th largest
-    keep = vals >= cut
-    if np.count_nonzero(keep) > k:  # ties at the cut go to the lowest indices
-        above, tied = vals > cut, vals == cut
-        keep = above | (tied & (np.cumsum(tied) <= k - np.count_nonzero(above)))
-    return np.flatnonzero(keep)
+    return np.sort(np.argsort(-vals, kind="stable")[:k])
 
 
 def ceil_sqrt(k: int) -> int:

@@ -47,8 +47,8 @@ def submatrix(op: SpectrumOperator, indices) -> np.ndarray:
     """Principal submatrix Z_S for the index set S, exactly Hermitian.
 
     Entry (u, v) = (1/m) sum_i w_i a_{i,S[u]} conj(a_{i,S[v]}), from one GEMM.
-    Its upper triangle plus conj(0) is kept, the lower is 0 plus the upper's
-    conjugate, and the diagonal is forced real: Hermitian to the last bit.
+    Its strict upper triangle (`triu`) plus that triangle's conjugate transpose,
+    with the diagonal forced real, is Hermitian to the last bit.
     """
     idx = np.asarray(indices, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
@@ -56,9 +56,8 @@ def submatrix(op: SpectrumOperator, indices) -> np.ndarray:
     b = op.meas.sensing[:, idx]
     raw = (b * op.weights[:, None]).T @ b.conj()
     raw /= op.meas.m
-    out = np.add(raw.T.conj(), 0, order="C")
-    pos = np.arange(idx.size)
-    np.add(raw, np.conj(raw.dtype.type()), out=out, where=pos[:, None] < pos)
+    out = np.triu(raw, 1)
+    out += out.T.conj()
     np.fill_diagonal(out, raw.diagonal().real)
     return out
 

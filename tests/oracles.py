@@ -5,9 +5,10 @@ no code with the package: a cyclic Jacobi eigensolver for Hermitian
 matrices, an explicitly materialized dense spectrum, a dense four-step
 pursuit, a phase-grid distance minimizer, a sort-based top-k, and a
 streaming (Welford) mean/variance.  The one exception is
-per_width_pursuit, the reference for gesp's width scan: the loop the scan
-replaced, written with the package's own steps, one vector product and one
-finish per width.
+per_width_pursuit, the reference for gesp's width scan, written with the
+package's own steps: gesp's own loop over the widths, one vector product
+per width, except that it finishes every width's S1 where gesp finishes
+each distinct S1 once.
 """
 
 import numpy as np

@@ -215,6 +215,20 @@ class TestStrictConfig:
     def test_integral_float_is_an_int(self):
         config = config_from_dict(_raw_config(n=8.0, trials=2.0))
         assert config.n == 8 and isinstance(config.n, int) and config.trials == 2
+        config = _mini_config(trials=2.0, base_seed=5.0, threads=3.0)
+        assert [type(value) for value in (config.trials, config.base_seed, config.threads)] == [int] * 3
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"record_runtime": "false"}, "record_runtime must be true or false, got 'false'"),
+        ({"out_path": 5}, "out_path must be a string, got 5"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ], ids=["record_runtime-string", "out_path-int", "threads-bool", "trials-float"])
+    def test_library_config_rejects_what_the_loader_rejects(self, overrides, message):
+        # a hand-built "false" used to record wall times, and trials=2.5 to fail mid-sweep inside range()
+        for build in (lambda: _mini_config(**overrides), lambda: config_from_dict(_raw_config(**overrides))):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                build()
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="'trails' in the top level"):

@@ -159,8 +159,7 @@ class TestRun:
             while not _spawned_workers(proc.pid):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
-            time.sleep(1.0)  # into the trials
-            os.killpg(proc.pid, signal.SIGINT)
+            os.killpg(proc.pid, signal.SIGINT)  # as soon as a worker exists, while it may still be starting
             _, err = proc.communicate(timeout=5)
             assert proc.returncode == 130
             assert err == "interrupted\n"  # the workers ignore SIGINT, so no traceback of theirs either
@@ -170,6 +169,34 @@ class TestRun:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+            proc.wait()
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="reads the process table from /proc")
+    def test_spawned_workers_never_take_sigint(self, tmp_path):
+        # a worker used to start with SIGINT live until its initializer ignored it, so a Ctrl-C
+        # in that window printed the worker's traceback
+        config = _full_scale_config(tmp_path, trials=100, out_path=str(tmp_path / "out.csv"))
+        argv = [sys.executable, "-m", "gesp", "run", "--config", str(config), "--threads", "2"]
+        proc = subprocess.Popen(argv, env=_cli_env(), start_new_session=True,
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        observations, live = {}, set()  # pid -> times seen; the pids seen with SIGINT live
+        try:
+            deadline = time.monotonic() + 60
+            while len(observations) < 2 or min(observations.values()) < 100:
+                assert proc.poll() is None and time.monotonic() < deadline
+                for pid in _spawned_workers(proc.pid):
+                    try:
+                        status = pathlib.Path(f"/proc/{pid}/status").read_text()
+                    except OSError:  # the worker has exited
+                        continue
+                    masks = dict(line.split(":", 1) for line in status.splitlines() if line.startswith("Sig"))
+                    if not any(int(masks[key], 16) >> (signal.SIGINT - 1) & 1 for key in ("SigBlk", "SigIgn")):
+                        live.add(pid)
+                    observations[pid] = observations.get(pid, 0) + 1
+            assert live == set()
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
 
     def test_unguarded_script_names_the_main_guard(self, tmp_path):

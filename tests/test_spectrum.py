@@ -223,8 +223,9 @@ class TestBitForBitPins:
         idx = rng.permutation(d + extra)[:d]
         b = op.meas.sensing[:, idx]
         raw = (b * op.weights[:, None]).T @ b.conj() / op.meas.m
-        upper = np.triu(raw, 1)
-        expected = upper + upper.conj().T
+        # entry by entry: the GEMM's plus conj(0) above, 0 plus the conjugate below, the real part
+        # on the diagonal; those additions set the signs of zero parts, as from real or sparse sensing
+        expected = np.where(np.tri(d, k=-1, dtype=bool), 0 + raw.T.conj(), raw + np.conj(0j))
         expected[np.diag_indices_from(expected)] = raw.diagonal().real
         got = submatrix(op, idx)
         assert got.flags.c_contiguous
