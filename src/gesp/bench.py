@@ -22,7 +22,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -84,7 +83,7 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep's settings; n and k are read from the signal, so they cannot disagree with it."""
+    """One sweep's settings, checked and resolved to ratio_grid on construction; n and k come from the signal."""
 
     ratios: tuple[float, ...]
     trials: int
@@ -112,11 +111,16 @@ class BenchConfig:
             raise ConfigError("at least one algorithm is required")
         if not self.ratios:
             raise ConfigError("at least one ratio is required")
-        for r in self.ratios:
-            if not 0.0 < r <= 2.0:
-                raise ConfigError(f"ratio {r} outside (0, 2]")
-            if round(r * self.n) < 1:
-                raise ConfigError(f"ratio {r} resolves to m = 0 at n = {self.n}")
+        object.__setattr__(self, "ratios", tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(self.ratios)))
+        grid, index = {}, {}  # m -> (its place in the grid, its first ratio); each ratio -> its m's place
+        for ratio in self.ratios:
+            if not 0.0 < ratio <= 2.0:
+                raise ConfigError(f"ratio {ratio} outside (0, 2]")
+            if (m := round(ratio * self.n)) < 1:
+                raise ConfigError(f"ratio {ratio} resolves to m = 0 at n = {self.n}")
+            index[ratio] = grid.setdefault(m, (len(grid), ratio))[0]
+        object.__setattr__(self, "ratio_grid", tuple((r, m) for m, (_, r) in grid.items()))  # not fields, so
+        object.__setattr__(self, "_grid_index", index)  # equality and repr ignore them
 
     @property
     def n(self) -> int:
@@ -126,13 +130,10 @@ class BenchConfig:
     def k(self) -> int:
         return self.signal.k
 
-    @cached_property
-    def ratio_grid(self) -> tuple[tuple[float, int], ...]:
-        """(ratio, m) pairs with duplicate m values dropped, order kept; built once per config."""
-        first = {}
-        for r in self.ratios:
-            first.setdefault(round(r * self.n), r)
-        return tuple((r, m) for m, r in first.items())
+    def grid_index(self, ratio: float) -> int:  # where a configured ratio runs: a repeated m as its first ratio
+        if ratio not in self._grid_index:
+            raise ConfigError(f"ratio {ratio} is not one of the config's ratios")
+        return self._grid_index[ratio]
 
     def resolved_ratios(self) -> list[tuple[float, int]]:
         """The ratio grid as a list."""
@@ -239,11 +240,11 @@ def load_config(path) -> BenchConfig:
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
-    top level, `signal`, `algorithms[i]`); integers must be integral and not
-    bools, `record_runtime` a bool, `out_path` a string, a gesp `fixed` p at
-    most k, `signal.decay` beside exp_decay only, and `base_seed` in
-    [0, 2^64).  Each error names the offending key.  `n` and `k` go to the
-    signal; a missing optional key takes the default of its dataclass field."""
+    top level, `signal`, `algorithms[i]`), a gesp `fixed` p at most k, and
+    `signal.decay` beside exp_decay only; the constructors check the values as
+    they check a hand-built config's (integers, `ratios`, `base_seed`, ...).
+    Each error names the offending key.  `n` and `k` go to the signal; a
+    missing optional key takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -260,7 +261,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
             raise ConfigError(f"signal.decay is only valid for the exp_decay model, not {model!r}")
         signal = SignalModelSpec(model, n, k, _float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"))
         return BenchConfig(
-            ratios=tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(raw["ratios"])),
+            ratios=tuple(raw["ratios"]),
             trials=raw["trials"],
             base_seed=raw["base_seed"],
             signal=signal,

@@ -78,11 +78,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_single(args) -> int:
     config = load_config(args.config)
-    if args.ratio not in config.ratios:
-        raise ConfigError(f"ratio {args.ratio} is not one of the config's ratios")
+    ri = config.grid_index(args.ratio)  # a repeated m runs as its grid ratio
     if not 0 <= args.trial < config.trials:
         raise ConfigError(f"trial index {args.trial} outside [0, {config.trials})")
-    ri = [m for _r, m in config.ratio_grid].index(round(args.ratio * config.n))  # a repeated m runs as its grid ratio
     seed, sig, meas = bench.build_trial_instance(config, ri, args.trial)
     x = sig.vector
     print(f"trial seed={seed} model={config.signal.model} n={config.n} k={config.k} "
@@ -94,10 +92,9 @@ def _cmd_single(args) -> int:
     for algo in config.algorithms:
         est = bench.run_algorithm(algo, meas, config.k, sig)
         label = f"{algo.name} {algo.strategy_label}".strip()
-        overlap = np.intersect1d(est.support, sig.support)
-        d = dist(est.z, x)
+        overlap = np.intersect1d(est.support, sig.support, assume_unique=True)  # as the CSV counts it
         print(f"[{label}] p_used={est.p_used} |S1 ∩ supp|={overlap.size}/{config.k} "
-              f"dist={d:.6g} rel_err={relative_error(est.z, x):.6g} residual={est.residual_score:.3g}")
+              f"dist={dist(est.z, x):.6g} rel_err={relative_error(est.z, x):.6g} residual={est.residual_score:.3g}")
         if args.verbose and algo.name == "gesp":
             op = spectrum.build(meas, "exponential")
             e0 = step2_direction(op, est.s0)

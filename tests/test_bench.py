@@ -94,15 +94,42 @@ class TestConfig:
         assert config.resolved_ratios() == [(0.5, 12), (1.0, 24)]
 
     def test_ratio_grid_built_once_per_config(self, monkeypatch):
-        # the sweep and each trial used to rebuild the (ratio, m) list, three times per trial
+        # the sweep and each trial used to rebuild the (ratio, m) list, three times per trial;
+        # the grid is now built by the constructor, with one rounding per configured ratio
         config = _mini_config(ratios=(0.5, 0.51, 1.0))
         assert config.ratio_grid is config.ratio_grid == ((0.5, 12), (1.0, 24))
         config.resolved_ratios().clear()  # a caller's list is its own
         assert config.resolved_ratios() == [(0.5, 12), (1.0, 24)]
-        fresh, rounds = _mini_config(ratios=(0.5, 0.51, 1.0)), []
+        rounds = []
         monkeypatch.setattr(bench, "round", lambda x: rounds.append(x) or round(x), raising=False)
+        fresh = _mini_config(ratios=(0.5, 0.51, 1.0))
+        assert len(rounds) == 3  # one per configured ratio, at construction
         assert len(run_sweep(fresh)) == 2 * 3 * 2
-        assert len(rounds) == 3  # one per configured ratio, for the whole sweep
+        assert len(rounds) == 3  # and none while the sweep runs
+
+    def test_grid_index_runs_a_repeated_m_as_its_first_ratio(self):
+        config = _mini_config(ratios=(0.5, 0.51, 1.0))
+        assert [config.grid_index(ratio) for ratio in (0.5, 0.51, 1.0, 1)] == [0, 0, 1, 1]
+        with pytest.raises(ConfigError, match=r"^ratio 0\.33 is not one of the config's ratios$"):
+            config.grid_index(0.33)
+
+    def test_integer_ratio_runs_as_its_float(self, tmp_path):
+        # the grid holds floats whatever number type a hand-built config passes
+        paths = []
+        for ratios in ((1,), (1.0,)):
+            config = _mini_config(ratios=ratios)
+            assert config.ratios == (1.0,) and type(config.ratios[0]) is float
+            assert [type(ratio) for ratio, _m in config.ratio_grid] == [float]
+            paths.append(tmp_path / f"{ratios[0]!r}.csv")
+            write_csv(run_sweep(config), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda path: path.stem)
+    def test_shipped_config_entries_have_distinct_labels(self, path):
+        # aggregate and the plot data group records by (algorithm, strategy, ratio), so two entries
+        # with one label (gesp fixed at two p, known_structure global and capped) would merge
+        labels = [(algo.name, algo.strategy_label) for algo in load_config(path).algorithms]
+        assert len(set(labels)) == len(labels)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
@@ -223,9 +250,12 @@ class TestStrictConfig:
         ({"out_path": 5}, "out_path must be a string, got 5"),
         ({"threads": True}, "threads must be an integer, got True"),
         ({"trials": 2.5}, "trials must be an integer, got 2.5"),
-    ], ids=["record_runtime-string", "out_path-int", "threads-bool", "trials-float"])
+        ({"ratios": (1.0, "0.5")}, "ratios[1] must be a number, got '0.5'"),
+        ({"ratios": (True,)}, "ratios[0] must be a number, got True"),
+    ], ids=["record_runtime-string", "out_path-int", "threads-bool", "trials-float", "ratio-string", "ratio-bool"])
     def test_library_config_rejects_what_the_loader_rejects(self, overrides, message):
-        # a hand-built "false" used to record wall times, and trials=2.5 to fail mid-sweep inside range()
+        # a hand-built "false" used to record wall times, trials=2.5 to fail mid-sweep inside range(),
+        # ratios=(True,) to run as ratio 1 and write True, and "0.5" to raise a bare TypeError
         for build in (lambda: _mini_config(**overrides), lambda: config_from_dict(_raw_config(**overrides))):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 build()

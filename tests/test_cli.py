@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -388,6 +389,28 @@ class TestSingle:
             headers.append(capsys.readouterr().out.splitlines()[0])
         assert headers[0] == headers[1]
         assert " m=10 ratio=0.5 " in headers[0]
+
+    def test_algorithm_lines_match_the_run_csv(self, tmp_path, capsys):
+        # p_used, the support overlap and rel_err of each line are those of the trial's CSV row
+        config = _small_config(tmp_path, algorithms=[
+            {"algorithm": "gesp", "strategy": "known_structure"}, {"algorithm": "gesp", "strategy": "sqrt_k"},
+            {"algorithm": "gesp", "strategy": "full_k"}, {"algorithm": "gesp", "strategy": "ensemble"},
+            {"algorithm": "esp"}, {"algorithm": "diag_two_step"}, {"algorithm": "truncated_power"},
+        ])
+        assert cli_main(["run", "--config", str(config)]) == 0
+        with open(tmp_path / "out.csv", newline="") as f:
+            rows = [row for row in csv.DictReader(f) if row["ratio"] == "1" and row["trial_index"] == "1"]
+        capsys.readouterr()
+        assert cli_main(["single", "--config", str(config), "--ratio", "1.0", "--trial", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == len(rows) == 7
+        for line, row in zip(lines, rows):
+            fields = re.match(r"\[(.+)\] p_used=(\d+) \|S1 ∩ supp\|=(\d+)/4 dist=\S+ rel_err=(\S+) ", line)
+            assert fields, line
+            assert fields.group(1) == f"{row['algorithm']} {row['strategy']}".strip()
+            assert int(fields.group(2)) == int(row["p_used"])
+            assert int(fields.group(3)) == round(float(row["support_fraction"]) * 4)
+            assert fields.group(4) == format(float(row["relative_error"]), ".6g")
 
     def test_trial_index_validated(self, tmp_path):
         config = _small_config(tmp_path)

@@ -1,0 +1,65 @@
+"""The names the benchmark reaches in gesp, exercised in Tier-1.
+
+`perfbench/tracing.py` wraps 19 gesp functions by name, and
+`perfbench/checks.py` re-runs trials through `bench` and `pursuit`.  Both are
+loaded here by path, as the benchmark loads them, so that a change to gesp
+that breaks a traced or checked name fails here and not only in a benchmark
+run.
+"""
+
+import csv
+import importlib.util
+import pathlib
+import sys
+
+from gesp import bench
+from gesp.bench import config_from_dict
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gesp_bindings() -> dict:
+    modules = {name: m for name, m in sys.modules.items() if name == "gesp" or name.startswith("gesp.")}
+    return {(name, key): value for name, m in modules.items() for key, value in vars(m).items()}
+
+
+def test_traced_sweep_calls_every_name_and_passes_the_checks(tmp_path):
+    tracing, checks = _load("tracing"), _load("checks")
+    config = config_from_dict({
+        "schema_version": 1, "n": 24, "k": 4, "ratios": [0.5, 1.0], "trials": 2, "base_seed": 7,
+        "signal": {"model": "gaussian"},
+        "algorithms": [
+            {"algorithm": "gesp", "strategy": "known_structure"}, {"algorithm": "gesp", "strategy": "ensemble"},
+            {"algorithm": "esp"}, {"algorithm": "diag_two_step"}, {"algorithm": "truncated_power"},
+        ],
+    })
+    before = _gesp_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()  # getattr on every traced name
+    try:
+        records = bench.run_sweep(config)
+    finally:
+        tracer.uninstall()
+    assert sorted(name for name in tracing.TARGETS if not tracer.calls[name]) == []
+    after = _gesp_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+    path = tmp_path / "sweep.csv"
+    bench.write_csv(records, path)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    found = checks.Checks()
+    checks.check_rows(found, rows, config.k, "rows")
+    checks.check_sampled_trials(found, config, rows, 7, "trials")
+    assert (found.failed, found.messages) == (0, [])
+    # one check per row; per ratio, two per algorithm and one each for known_structure's pursuit,
+    # the ensemble's residual, esp against fixed p = 1 and diag_two_step's support
+    assert found.attempted == len(rows) + 2 * (2 * len(config.algorithms) + 4) == 48
