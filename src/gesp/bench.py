@@ -73,8 +73,8 @@ class AlgorithmSpec:
             raise ConfigError(f"a strategy is for gesp only, and gesp needs one; got {self.strategy} for {self.name!r}")
         if self.tpm_iters != TPM_ITERS and self.name != "truncated_power":  # it would be ignored
             raise ConfigError(f"tpm_iters is only valid for truncated_power, not {self.name!r}")
-        if self.tpm_iters < 1:
-            raise ConfigError(f"truncated_power iters must be >= 1, got {self.tpm_iters}")
+        if isinstance(self.tpm_iters, bool) or not isinstance(self.tpm_iters, (int, np.integer)) or self.tpm_iters < 1:
+            raise ConfigError(f"tpm_iters must be an integer >= 1, got {self.tpm_iters!r}")
 
     @property
     def strategy_label(self) -> str:
@@ -240,11 +240,12 @@ def load_config(path) -> BenchConfig:
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the
-    top level, `signal`, `algorithms[i]`), a gesp `fixed` p at most k, and
-    `signal.decay` beside exp_decay only; the constructors check the values as
-    they check a hand-built config's (integers, `ratios`, `base_seed`, ...).
-    Each error names the offending key.  `n` and `k` go to the signal; a
-    missing optional key takes the default of its dataclass field."""
+    top level, `signal`, `algorithms[i]`), `ratios` and `algorithms` must be
+    arrays, a gesp `fixed` p at most k, and `signal.decay` beside exp_decay
+    only; the constructors check the values as they check a hand-built
+    config's (integers, `ratios`, `base_seed`, ...).  Each error names the
+    offending key.  `n` and `k` go to the signal; a missing optional key
+    takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -260,6 +261,9 @@ def config_from_dict(raw: dict) -> BenchConfig:
         if "decay" in sig_raw and model != "exp_decay":  # even at its default, which generate would ignore
             raise ConfigError(f"signal.decay is only valid for the exp_decay model, not {model!r}")
         signal = SignalModelSpec(model, n, k, _float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"))
+        for key in ("ratios", "algorithms"):  # tuple() would split a string into characters and an object into keys
+            if isinstance(raw.get(key), (str, dict)):
+                raise ConfigError(f"{key} must be a JSON array, got {raw[key]!r}")
         return BenchConfig(
             ratios=tuple(raw["ratios"]),
             trials=raw["trials"],
@@ -298,33 +302,33 @@ def run_algorithm(algo: AlgorithmSpec, meas: MeasurementSet, k: int, sig: Sparse
     return truncated_power_init(meas, k, algo.tpm_iters)
 
 
+def run_entry(algo: AlgorithmSpec, meas: MeasurementSet, sig: SparseSignal,
+              record_runtime: bool = False) -> tuple[dict, InitEstimate | None]:
+    """One entry's TrialRecord columns past the trial's seven shared ones, and its
+    estimate: error_flag 1, NaN scores and None if it raised.  Timed if record_runtime."""
+    clock = time.perf_counter if record_runtime else lambda: 0.0
+    columns = dict(algorithm=algo.name, strategy=algo.strategy_label)
+    start = clock()
+    try:
+        est = run_algorithm(algo, meas, sig.k, sig)
+        columns["runtime_ms"] = (clock() - start) * 1e3
+        overlap = np.intersect1d(est.support, sig.support, assume_unique=True).size  # two index sets
+        columns.update(p_used=est.p_used, relative_error=relative_error(est.z, sig.vector), error_flag=0,
+                       raw_error=float(np.linalg.norm(est.z - sig.vector)) / float(np.linalg.norm(sig.vector)),
+                       support_fraction=overlap / sig.k)
+        return columns, est
+    except Exception:
+        columns.update(runtime_ms=(clock() - start) * 1e3, p_used=0, relative_error=math.nan, raw_error=math.nan,
+                       support_fraction=math.nan, error_flag=1)
+        return columns, None
+
+
 def _run_trial(config: BenchConfig, ratio_index: int, trial_index: int) -> list[TrialRecord]:
-    ratio, m = config.ratio_grid[ratio_index]
     seed, sig, meas = build_trial_instance(config, ratio_index, trial_index)
-    x = sig.vector
-    nx = float(np.linalg.norm(x))
-    clock = time.perf_counter if config.record_runtime else lambda: 0.0
-    records = []
-    for algo in config.algorithms:
-        fields = dict(
-            signal_model=config.signal.model,
-            algorithm=algo.name,
-            strategy=algo.strategy_label,
-            n=config.n, k=config.k, m=m, ratio=ratio,
-            trial_index=trial_index, seed=seed,
-        )
-        start = clock()
-        try:
-            est = run_algorithm(algo, meas, config.k, sig)
-            fields["runtime_ms"] = (clock() - start) * 1e3
-            overlap = np.intersect1d(est.support, sig.support, assume_unique=True).size  # two index sets
-            fields.update(p_used=est.p_used, relative_error=relative_error(est.z, x), error_flag=0,
-                          raw_error=float(np.linalg.norm(est.z - x)) / nx, support_fraction=overlap / config.k)
-        except Exception:
-            fields.update(runtime_ms=(clock() - start) * 1e3, p_used=0, relative_error=math.nan, raw_error=math.nan,
-                          support_fraction=math.nan, error_flag=1)
-        records.append(TrialRecord(**fields))
-    return records
+    shared = dict(signal_model=config.signal.model, n=config.n, k=config.k, m=meas.m,
+                  ratio=config.ratio_grid[ratio_index][0], trial_index=trial_index, seed=seed)
+    return [TrialRecord(**shared, **run_entry(algo, meas, sig, config.record_runtime)[0])
+            for algo in config.algorithms]
 
 
 def run_sweep(config: BenchConfig) -> list[TrialRecord]:

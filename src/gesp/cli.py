@@ -22,7 +22,7 @@ import numpy as np
 from . import bench, spectrum
 from .bench import ConfigError, load_config
 from .measurement import measure, sample_sensing, sensing_layout
-from .numerics import ceil_sqrt, dist, p_objective, p_opt, relative_error, structure_function
+from .numerics import ceil_sqrt, dist, p_objective, p_opt, structure_function
 from .pursuit import step2_direction
 from .signals import SignalModelSpec, generate
 
@@ -90,15 +90,18 @@ def _cmd_single(args) -> int:
         print(f"sensing sha256={digest}")
         print(f"true support: {sig.support.tolist()}")
     for algo in config.algorithms:
-        est = bench.run_algorithm(algo, meas, config.k, sig)
-        label = f"{algo.name} {algo.strategy_label}".strip()
-        overlap = np.intersect1d(est.support, sig.support, assume_unique=True)  # as the CSV counts it
-        print(f"[{label}] p_used={est.p_used} |S1 ∩ supp|={overlap.size}/{config.k} "
-              f"dist={dist(est.z, x):.6g} rel_err={relative_error(est.z, x):.6g} residual={est.residual_score:.3g}")
+        columns, est = bench.run_entry(algo, meas, sig)  # the columns of the trial's CSV row
+        label = f"{columns['algorithm']} {columns['strategy']}".strip()
+        if est is None:
+            print(f"[{label}] error_flag=1")
+            continue
+        print(f"[{label}] p_used={columns['p_used']} |S1 ∩ supp|={round(columns['support_fraction'] * sig.k)}/{sig.k} "
+              f"dist={dist(est.z, x):.6g} rel_err={columns['relative_error']:.6g} residual={est.residual_score:.3g}")
         if args.verbose and algo.name == "gesp":
             op = spectrum.build(meas, "exponential")
             e0 = step2_direction(op, est.s0)
             captured = float(np.sum(np.abs(x[est.s0]) ** 2)) / sig.norm_sq
+            overlap = np.intersect1d(est.support, sig.support, assume_unique=True)
             print(f"    S0={est.s0.tolist()}")
             print(f"    ||x_S0||^2/||x||^2={captured:.6g}  |x* e0|={abs(complex(np.vdot(x, e0))):.6g}")
             print(f"    S1={est.support.tolist()}  S1∩supp={overlap.tolist()}")

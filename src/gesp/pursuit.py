@@ -44,8 +44,8 @@ class PStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
         if self.kind == "fixed":
-            if self.p_value is None or self.p_value < 1:
-                raise ValueError("fixed strategy needs a positive p_value")
+            if isinstance(self.p_value, bool) or not isinstance(self.p_value, (int, np.integer)) or self.p_value < 1:
+                raise ValueError(f"fixed strategy needs a positive integer p_value, got {self.p_value!r}")
         elif self.p_value is not None:
             raise ValueError(f"p_value is only valid for the fixed strategy, not {self.kind!r}")
         if self.variant not in P_VARIANTS:

@@ -145,8 +145,15 @@ class TestConfig:
 
     def test_truncated_power_iters_checked_by_constructor(self):
         # the loader rejected "iters": 0, the constructor used to accept it
-        with pytest.raises(ConfigError, match="iters must be >= 1"):
+        with pytest.raises(ConfigError, match="^tpm_iters must be an integer >= 1, got 0$"):
             AlgorithmSpec(name="truncated_power", tpm_iters=0)
+
+    @pytest.mark.parametrize("iters", [2.5, 2.0, True, "3", None])
+    def test_truncated_power_iters_must_be_an_integer(self, iters):
+        # 2.5 used to build and flag every record of the entry; True ran one iteration
+        with pytest.raises(ConfigError, match=f"^tpm_iters must be an integer >= 1, got {re.escape(repr(iters))}$"):
+            AlgorithmSpec(name="truncated_power", tpm_iters=iters)
+        assert AlgorithmSpec(name="truncated_power", tpm_iters=np.int64(3)).tpm_iters == 3
 
     @pytest.mark.parametrize("name, strategy, iters", [
         ("esp", None, 5), ("diag_two_step", None, 3), ("gesp", PStrategy.full_k(), 7),
@@ -324,6 +331,14 @@ class TestStrictConfig:
     def test_bad_value_rejected_by_name(self, overrides, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict(_raw_config(**overrides))
+
+    @pytest.mark.parametrize("key, value", [
+        ("ratios", "0.5"), ("ratios", {"0.5": 1}), ("algorithms", "esp"), ("algorithms", {"algorithm": "esp"}),
+    ])
+    def test_string_or_object_for_an_array_rejected(self, key, value):
+        # "ratios": "0.5" used to report ratios[0] must be a number, got '0'
+        with pytest.raises(ConfigError, match=f"^{key} must be a JSON array, got {re.escape(repr(value))}$"):
+            config_from_dict(_raw_config(**{key: value}))
 
     def test_type_error_is_wrapped(self):
         with pytest.raises(ConfigError, match="^invalid config value: 'int' object is not iterable$") as info:

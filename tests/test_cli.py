@@ -412,6 +412,27 @@ class TestSingle:
             assert int(fields.group(3)) == round(float(row["support_fraction"]) * 4)
             assert fields.group(4) == format(float(row["relative_error"]), ".6g")
 
+    def test_flagged_entry_prints_its_error_flag_and_continues(self, tmp_path, capsys, monkeypatch):
+        # single used to exit 2 at the first entry that raised, printing nothing for the entries after it
+        config = _small_config(tmp_path, algorithms=[
+            {"algorithm": "gesp", "strategy": "full_k"}, {"algorithm": "esp"}, {"algorithm": "diag_two_step"},
+        ])
+        args = ["single", "--config", str(config), "--ratio", "1.0", "--trial", "1"]
+        assert cli_main(args) == 0
+        clean = capsys.readouterr().out.splitlines()
+        real = bench.run_algorithm
+
+        def esp_raises(algo, *args):
+            if algo.name == "esp":
+                raise RuntimeError("esp failed")
+            return real(algo, *args)
+
+        monkeypatch.setattr(bench, "run_algorithm", esp_raises)
+        assert cli_main(args) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out.splitlines() == [*clean[:2], "[esp] error_flag=1", clean[3]]
+        assert flagged.err == ""
+
     def test_trial_index_validated(self, tmp_path):
         config = _small_config(tmp_path)
         assert cli_main(["single", "--config", str(config), "--ratio", "0.5", "--trial", "7"]) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,14 @@ class TestStrategies:
             PStrategy(kind="sqrt_k", p_value=2)
         with pytest.raises(ValueError):
             PStrategy.known_structure("corollary")
+
+    @pytest.mark.parametrize("p_value", [1.5, 2.0, True, "2", None])
+    def test_fixed_p_value_must_be_an_integer(self, p_value):
+        # 1.5 used to build and raise at solve time; True ran width 1
+        message = f"fixed strategy needs a positive integer p_value, got {p_value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PStrategy.fixed(p_value)
+        assert PStrategy.fixed(np.int64(2)).p_value == 2
 
     @pytest.mark.parametrize("kind, p_value", [("fixed", 2), ("sqrt_k", None), ("full_k", None), ("ensemble", None)])
     def test_variant_rejected_where_ignored(self, kind, p_value):
