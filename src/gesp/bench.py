@@ -107,20 +107,26 @@ class BenchConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not isinstance(self.signal, SignalModelSpec):
+            raise ConfigError(f"signal must be a SignalModelSpec, got {self.signal!r}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if not self.ratios:
             raise ConfigError("at least one ratio is required")
         object.__setattr__(self, "ratios", tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(self.ratios)))
-        grid, index = {}, {}  # m -> (its place in the grid, its first ratio); each ratio -> its m's place
+        grid, labels = {}, {}  # m -> its first ratio; (name, strategy_label), as records name an entry -> its index
         for ratio in self.ratios:
             if not 0.0 < ratio <= 2.0:
                 raise ConfigError(f"ratio {ratio} outside (0, 2]")
             if (m := round(ratio * self.n)) < 1:
                 raise ConfigError(f"ratio {ratio} resolves to m = 0 at n = {self.n}")
-            index[ratio] = grid.setdefault(m, (len(grid), ratio))[0]
-        object.__setattr__(self, "ratio_grid", tuple((r, m) for m, (_, r) in grid.items()))  # not fields, so
-        object.__setattr__(self, "_grid_index", index)  # equality and repr ignore them
+            grid.setdefault(m, ratio)
+        object.__setattr__(self, "ratio_grid", tuple((r, m) for m, r in grid.items()))  # not a field: outside eq, repr
+        for i, algo in enumerate(self.algorithms):
+            if not isinstance(algo, AlgorithmSpec):
+                raise ConfigError(f"algorithms[{i}] must be an AlgorithmSpec, got {algo!r}")
+            if (first := labels.setdefault((algo.name, algo.strategy_label), i)) != i:
+                raise ConfigError(f"algorithms[{first}] and algorithms[{i}] are both {algo.name, algo.strategy_label}")
 
     @property
     def n(self) -> int:
@@ -131,9 +137,9 @@ class BenchConfig:
         return self.signal.k
 
     def grid_index(self, ratio: float) -> int:  # where a configured ratio runs: a repeated m as its first ratio
-        if ratio not in self._grid_index:
+        if ratio not in self.ratios:
             raise ConfigError(f"ratio {ratio} is not one of the config's ratios")
-        return self._grid_index[ratio]
+        return [m for _, m in self.ratio_grid].index(round(ratio * self.n))
 
     def resolved_ratios(self) -> list[tuple[float, int]]:
         """The ratio grid as a list."""
@@ -284,6 +290,9 @@ def build_trial_instance(
     config: BenchConfig, ratio_index: int, trial_index: int
 ) -> tuple[int, SparseSignal, MeasurementSet]:
     """Signal and measurements for one trial, shared by all algorithms."""
+    if not (0 <= ratio_index < len(config.ratio_grid) and 0 <= trial_index < config.trials):
+        raise ConfigError(f"ratio index {ratio_index} and trial index {trial_index}: the sweep has ratio "
+                          f"indices [0, {len(config.ratio_grid)}) and trial indices [0, {config.trials})")
     ratio, m = config.ratio_grid[ratio_index]
     seed = trial_seed(config.base_seed, ratio_index, trial_index)
     rng = np.random.default_rng(seed)

@@ -79,8 +79,6 @@ def _cmd_run(args) -> int:
 def _cmd_single(args) -> int:
     config = load_config(args.config)
     ri = config.grid_index(args.ratio)  # a repeated m runs as its grid ratio
-    if not 0 <= args.trial < config.trials:
-        raise ConfigError(f"trial index {args.trial} outside [0, {config.trials})")
     seed, sig, meas = bench.build_trial_instance(config, ri, args.trial)
     x = sig.vector
     print(f"trial seed={seed} model={config.signal.model} n={config.n} k={config.k} "

@@ -30,6 +30,11 @@ class SignalModelSpec:
     def __post_init__(self):
         if self.model not in SIGNAL_MODELS:
             raise ValueError(f"unknown signal model {self.model!r}; expected one of {SIGNAL_MODELS}")
+        for name, value in (("n", self.n), ("k", self.k)):  # numpy integers too, not bools
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.decay, bool) or not isinstance(self.decay, (int, float, np.integer, np.floating)):
+            raise ValueError(f"decay must be a real number, got {self.decay!r}")
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.model != "exp_decay":

@@ -131,6 +131,50 @@ class TestConfig:
         labels = [(algo.name, algo.strategy_label) for algo in load_config(path).algorithms]
         assert len(set(labels)) == len(labels)
 
+    @pytest.mark.parametrize("ratio_index, trial_index", [(-1, 0), (0, -1), (0, 10), (3, 0)])
+    def test_trial_outside_the_sweep_rejected(self, ratio_index, trial_index):
+        # the first three used to draw a trial whose seed no sweep draws; (3, 0) raised a bare IndexError
+        config = load_config(REPO / "configs" / "golden.json")
+        assert (len(config.ratio_grid), config.trials) == (3, 10)
+        message = (rf"^ratio index {ratio_index} and trial index {trial_index}: the sweep has ratio indices "
+                   r"\[0, 3\) and trial indices \[0, 10\)$")
+        with pytest.raises(ConfigError, match=message):
+            build_trial_instance(config, ratio_index, trial_index)
+        assert build_trial_instance(config, 2, 9)[0] == trial_seed(config.base_seed, 2, 9)  # the last trial drawn
+
+    @pytest.mark.parametrize("first, second, entries, label", [
+        (AlgorithmSpec(name="gesp", strategy=PStrategy.fixed(1)), AlgorithmSpec(name="gesp", strategy=PStrategy.fixed(2)),
+         ({"algorithm": "gesp", "strategy": "fixed", "p": 1}, {"algorithm": "gesp", "strategy": "fixed", "p": 2}),
+         "('gesp', 'fixed')"),
+        (AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure("global")),
+         AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure("capped")),
+         ({"algorithm": "gesp", "strategy": "known_structure", "variant": "global"},
+          {"algorithm": "gesp", "strategy": "known_structure", "variant": "capped"}),
+         "('gesp', 'known_structure')"),
+        (AlgorithmSpec(name="truncated_power", tpm_iters=5), AlgorithmSpec(name="truncated_power"),
+         ({"algorithm": "truncated_power", "iters": 5}, {"algorithm": "truncated_power"}),
+         "('truncated_power', '')"),
+    ], ids=["fixed", "known_structure", "truncated_power"])
+    def test_entries_with_one_label_rejected(self, first, second, entries, label):
+        # a record names its entry by (algorithm, strategy): gesp fixed at two p used to merge into one
+        # ('gesp', 'fixed', ratio) aggregate group of twice the trials, and known_structure global and
+        # capped to write rows that no reader could tell apart
+        message = rf"^algorithms\[0\] and algorithms\[2\] are both {re.escape(label)}$"
+        with pytest.raises(ConfigError, match=message):
+            _mini_config(algorithms=(first, AlgorithmSpec(name="esp"), second))
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(_raw_config(algorithms=[entries[0], {"algorithm": "esp"}, entries[1]]))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"signal": "gaussian"}, "signal must be a SignalModelSpec, got 'gaussian'"),
+        ({"algorithms": ("esp",)}, "algorithms[0] must be an AlgorithmSpec, got 'esp'"),
+        ({"algorithms": (AlgorithmSpec(name="esp"), None)}, "algorithms[1] must be an AlgorithmSpec, got None"),
+    ], ids=["signal-string", "algorithm-string", "algorithm-none"])
+    def test_hand_built_parts_must_have_their_types(self, overrides, message):
+        # signal="gaussian" used to raise a bare AttributeError, and ("esp",) to build and fail in run_sweep
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _mini_config(**overrides)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({

@@ -161,7 +161,13 @@ class TestRun:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
             os.killpg(proc.pid, signal.SIGINT)  # as soon as a worker exists, while it may still be starting
-            _, err = proc.communicate(timeout=5)
+            try:
+                _, err = proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:  # show what the run was doing when the budget ran out
+                os.killpg(proc.pid, signal.SIGKILL)
+                _, err = proc.communicate()
+                pytest.fail(f"gesp run did not exit within 5 s of SIGINT; killed with return code "
+                            f"{proc.returncode}, stderr:\n{err}")
             assert proc.returncode == 130
             assert err == "interrupted\n"  # the workers ignore SIGINT, so no traceback of theirs either
             assert _spawned_workers(proc.pid) == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,22 @@ class TestSpecValidation:
     def test_size_out_of_range(self, n, k):
         with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n={n}$"):
             SignalModelSpec(model="gaussian", n=n, k=k)
+
+    @pytest.mark.parametrize("n, k, field", [(True, True, "n"), (24.0, 4, "n"), (24, 4.0, "k"), (24, "4", "k")])
+    def test_size_must_be_an_integer(self, n, k, field):
+        # (True, True) and n=24.0 used to build a config whose run_sweep failed inside numpy
+        value = n if field == "n" else k
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            SignalModelSpec(model="gaussian", n=n, k=k)
+        assert SignalModelSpec(model="gaussian", n=np.int64(24), k=np.int32(4)) == SignalModelSpec("gaussian", 24, 4)
+
+    @pytest.mark.parametrize("model", ["exp_decay", "gaussian"])
+    @pytest.mark.parametrize("decay", ["0.5", None, True, 0.5j])
+    def test_decay_must_be_a_real_number(self, model, decay):
+        # "0.5" used to raise a bare TypeError beside exp_decay
+        with pytest.raises(ValueError, match=f"^decay must be a real number, got {re.escape(repr(decay))}$"):
+            SignalModelSpec(model=model, n=16, k=4, decay=decay)
+        assert SignalModelSpec(model="exp_decay", n=16, k=4, decay=np.float32(0.5)).decay == 0.5
 
     def test_example1_k_constraint(self):
         SignalModelSpec(model="example1", n=128, k=64)
