@@ -83,7 +83,8 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep's settings, checked and resolved to ratio_grid on construction; n and k come from the signal."""
+    """One sweep's settings, checked and resolved to ratio_grid on construction: n and k come from the signal,
+    `ratios` and `algorithms` are read once into tuples (not from a str or dict), numbers may be numpy scalars."""
 
     ratios: tuple[float, ...]
     trials: int
@@ -109,10 +110,12 @@ class BenchConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not isinstance(self.signal, SignalModelSpec):
             raise ConfigError(f"signal must be a SignalModelSpec, got {self.signal!r}")
-        if not self.algorithms:
-            raise ConfigError("at least one algorithm is required")
-        if not self.ratios:
-            raise ConfigError("at least one ratio is required")
+        for name, noun in (("ratios", "ratio"), ("algorithms", "algorithm")):  # each read once: an iterator is spent
+            if isinstance(value := getattr(self, name), (str, dict)):  # tuple() splits a string, keeps a dict's keys
+                raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+            if not getattr(self, name):
+                raise ConfigError(f"at least one {noun} is required")
         object.__setattr__(self, "ratios", tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(self.ratios)))
         grid, labels = {}, {}  # m -> its first ratio; (name, strategy_label), as records name an entry -> its index
         for ratio in self.ratios:
@@ -198,15 +201,15 @@ def _check_keys(raw, allowed, where: str) -> None:
 
 
 def _int(value, where: str) -> int:
-    """A JSON integer: a bool or a non-integral number is not one."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    """An integer, a numpy one or an integral float: a bool or a non-integral number is not one."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
 def _float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -245,13 +248,11 @@ def load_config(path) -> BenchConfig:
 
 
 def config_from_dict(raw: dict) -> BenchConfig:
-    """Validate a parsed config.  Every key must be known where it sits (the
-    top level, `signal`, `algorithms[i]`), `ratios` and `algorithms` must be
-    arrays, a gesp `fixed` p at most k, and `signal.decay` beside exp_decay
-    only; the constructors check the values as they check a hand-built
-    config's (integers, `ratios`, `base_seed`, ...).  Each error names the
-    offending key.  `n` and `k` go to the signal; a missing optional key
-    takes the default of its dataclass field."""
+    """Validate a parsed config.  Every key must be known where it sits (the top level, `signal`,
+    `algorithms[i]`), a gesp `fixed` p at most k (only here: a hand-built one flags its records) and
+    `signal.decay` beside exp_decay only; the constructors check the values, and the shape of `ratios` and
+    `algorithms`, as they check a hand-built config's.  Each error names the offending key.  `n` and `k` go
+    to the signal; a missing optional key takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -267,15 +268,13 @@ def config_from_dict(raw: dict) -> BenchConfig:
         if "decay" in sig_raw and model != "exp_decay":  # even at its default, which generate would ignore
             raise ConfigError(f"signal.decay is only valid for the exp_decay model, not {model!r}")
         signal = SignalModelSpec(model, n, k, _float(sig_raw.get("decay", SignalModelSpec.decay), "signal.decay"))
-        for key in ("ratios", "algorithms"):  # tuple() would split a string into characters and an object into keys
-            if isinstance(raw.get(key), (str, dict)):
-                raise ConfigError(f"{key} must be a JSON array, got {raw[key]!r}")
         return BenchConfig(
-            ratios=tuple(raw["ratios"]),
+            ratios=raw["ratios"],
             trials=raw["trials"],
             base_seed=raw["base_seed"],
             signal=signal,
-            algorithms=tuple(_parse_algorithm(a, f"algorithms[{i}]", k) for i, a in enumerate(raw["algorithms"])),
+            algorithms=[_parse_algorithm(a, f"algorithms[{i}]", k) for i, a in enumerate(raw["algorithms"])]
+            if isinstance(raw["algorithms"], list) else raw["algorithms"],  # BenchConfig refuses any other by name
             **{key: raw[key] for key in ("threads", "out_path", "record_runtime") if key in raw},
         )
     except KeyError as exc:

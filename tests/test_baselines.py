@@ -221,6 +221,15 @@ def test_all_zero_observations_raise(name):
         init(meas, 4)
 
 
+@pytest.mark.parametrize("k", [0, 25])
+@pytest.mark.parametrize("name", list(_initializers(4, None)))
+def test_k_outside_range_rejected(name, k):
+    # truncated_power_init refuses k in its top-k selection, the others before any work
+    _, meas = _instance(21)
+    with pytest.raises(ValueError, match=rf"\bk\b.*\b{k}\b"):
+        _initializers(4, None)[name](meas, k)
+
+
 EDGES = ("k=n", "k=1", "m<k", "m=1", "tied")
 
 

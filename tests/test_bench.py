@@ -169,11 +169,55 @@ class TestConfig:
         ({"signal": "gaussian"}, "signal must be a SignalModelSpec, got 'gaussian'"),
         ({"algorithms": ("esp",)}, "algorithms[0] must be an AlgorithmSpec, got 'esp'"),
         ({"algorithms": (AlgorithmSpec(name="esp"), None)}, "algorithms[1] must be an AlgorithmSpec, got None"),
-    ], ids=["signal-string", "algorithm-string", "algorithm-none"])
+        ({"ratios": "0.5"}, "ratios must be a JSON array, got '0.5'"),
+        ({"algorithms": "esp"}, "algorithms must be a JSON array, got 'esp'"),
+        ({"ratios": {0.5: 1}}, "ratios must be a JSON array, got {0.5: 1}"),
+        ({"algorithms": {"esp": 1}}, "algorithms must be a JSON array, got {'esp': 1}"),
+        ({"ratios": iter(())}, "at least one ratio is required"),
+        ({"algorithms": iter(())}, "at least one algorithm is required"),
+        ({"trials": np.True_}, f"trials must be an integer, got {np.True_!r}"),
+        ({"base_seed": np.False_}, f"base_seed must be an integer, got {np.False_!r}"),
+        ({"ratios": (np.True_,)}, f"ratios[0] must be a number, got {np.True_!r}"),
+    ], ids=["signal-string", "algorithm-string", "algorithm-none", "ratios-str", "algorithms-str", "ratios-dict",
+            "algorithms-dict", "ratios-empty-iterator", "algorithms-empty-iterator", "trials-np-bool",
+            "base_seed-np-bool", "ratio-np-bool"])
     def test_hand_built_parts_must_have_their_types(self, overrides, message):
-        # signal="gaussian" used to raise a bare AttributeError, and ("esp",) to build and fail in run_sweep
+        # signal="gaussian" used to raise a bare AttributeError, and ("esp",) to build and fail in run_sweep;
+        # "0.5" failed as ratios[0] must be a number, got '0', and "esp" as algorithms[0] ... got 'e'; a dict
+        # ran over its keys; an empty iterator is truthy and passed the emptiness check. np.bool_ is no
+        # np.integer, so it stays refused like True
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             _mini_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"algorithms": (algo for algo in (AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+                                          AlgorithmSpec(name="esp")))},
+        {"ratios": np.array([0.5, 1.0])},
+        {"ratios": [0.5, 1.0], "algorithms": [AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+                                              AlgorithmSpec(name="esp")]},
+    ], ids=["algorithms-generator", "ratios-array", "lists"])
+    def test_hand_built_sequence_read_once_into_a_tuple(self, overrides):
+        # validation used to spend a generator, so the sweep wrote 0 records; an array raised numpy's
+        # "truth value ... is ambiguous"; a list stayed a list and left the frozen config unhashable
+        config = _mini_config(**overrides)
+        assert type(config.ratios) is tuple and type(config.algorithms) is tuple
+        assert config == _mini_config() and hash(config) == hash(_mini_config())
+        assert len(run_sweep(config)) == 2 * 3 * 2
+
+    @pytest.mark.parametrize("overrides, plain", [
+        ({"trials": np.int64(2)}, {"trials": 2}),
+        ({"base_seed": np.uint64(7)}, {"base_seed": 7}),
+        ({"threads": np.int64(1)}, {"threads": 1}),
+        ({"ratios": (np.float32(0.5),)}, {"ratios": (0.5,)}),
+        ({"ratios": (np.int32(1), 0.5)}, {"ratios": (1.0, 0.5)}),
+        ({"ratios": np.arange(1, 3)}, {"ratios": (1.0, 2.0)}),
+    ], ids=["trials-int64", "base_seed-uint64", "threads-int64", "ratio-float32", "ratio-int32", "ratios-arange"])
+    def test_numpy_scalars_accepted(self, overrides, plain):
+        # np.int64(2) used to fail as trials must be an integer, np.float32(0.5) as ratios[0] must be a number
+        config = _mini_config(**overrides)
+        assert config == _mini_config(**plain)
+        values = (config.trials, config.base_seed, config.threads, *config.ratios)
+        assert [type(value) for value in values] == [int] * 3 + [float] * len(config.ratios)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
