@@ -5,10 +5,10 @@ diag_two_step  support from the top-k diagonal of the quadratic spectrum,
                finished with the pursuit's step 4 on that spectrum
 truncated_power  the truncated power method of Yuan & Zhang (JMLR 2013):
                power iterations on the exponential spectrum with hard top-k
-               truncation, started from the pursuit's steps 1-2 (p = k) on
-               the quadratic spectrum, run until the support repeats, then
-               finished with the pursuit's step 4 on the supports of the
-               cycle it entered
+               truncation, started from the diag_two_step estimate scaled
+               to unit norm, run until the support repeats, then finished
+               with the pursuit's step 4 on the supports of the cycle it
+               entered
 
 All three return the same InitEstimate type as the pursuit, with
 ||z||^2 = lambda_sq and a k-sparse estimate.
@@ -21,7 +21,7 @@ import numpy as np
 from . import spectrum
 from .measurement import MeasurementSet
 from .numerics import top_k_indices
-from .pursuit import InitEstimate, PStrategy, _finish, gesp, step2_direction
+from .pursuit import InitEstimate, PStrategy, _finish, gesp
 
 BASELINE_KINDS = ("esp", "diag_two_step", "truncated_power")
 TPM_ITERS = 50  # truncated_power's default iteration cap
@@ -47,7 +47,7 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -
     """Truncated power method (Yuan & Zhang, "Truncated power method for
     sparse eigenvalue problems", JMLR 14, 2013) on the exponential spectrum.
 
-    Starts from the pursuit's steps 1-2 (p = k) on the quadratic spectrum and repeats
+    Starts from the diag_two_step estimate, scaled to unit norm, and repeats
     v <- normalize(truncate_top_k(Z v)), stopping as soon as a support
     repeats.  The supports from its first occurrence up to now are the
     cycle the iteration entered (one support at a fixed point, two on a
@@ -67,10 +67,9 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -
     """
     if iters < 0:
         raise ValueError("iters must be non-negative")
-    quad = spectrum.build(meas, "quadratic")
-    s0 = top_k_indices(spectrum.diagonal(quad), k)
+    start = diag_two_step_init(meas, k)
+    s0, v = start.support, start.z / np.linalg.norm(start.z)
     op = spectrum.build(meas, "exponential")
-    v = step2_direction(quad, s0)
     path, cycle = [s0], None  # the supports visited, in order
     first = {s0.tobytes(): 0}  # support bytes -> its index in path
     for _ in range(iters):

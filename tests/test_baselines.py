@@ -110,6 +110,18 @@ class TestTruncatedPower:
         dt = diag_two_step_init(meas, 6)
         assert tp.support.tolist() == dt.support.tolist()
 
+    def test_starts_from_two_step_estimate_at_unit_norm(self, monkeypatch):
+        _, meas = _instance(30)
+        dt = diag_two_step_init(meas, 6)
+        builds, starts = [], []
+        build, matvec = spectrum.build, spectrum.matvec
+        monkeypatch.setattr(spectrum, "build", lambda meas, kind: builds.append(kind) or build(meas, kind))
+        monkeypatch.setattr(spectrum, "matvec", lambda op, v: starts.append(v) or matvec(op, v))
+        tp = truncated_power_init(meas, 6, iters=1)
+        assert builds == ["quadratic", "exponential"]
+        assert starts[0].tobytes() == (dt.z / np.linalg.norm(dt.z)).tobytes()
+        assert tp.s0.tolist() == dt.support.tolist()
+
     def test_output_sparsity_and_norm(self):
         for seed in range(5):
             _, meas = _instance(seed + 31)
@@ -224,9 +236,9 @@ def test_all_zero_observations_raise(name):
 @pytest.mark.parametrize("k", [0, 25])
 @pytest.mark.parametrize("name", list(_initializers(4, None)))
 def test_k_outside_range_rejected(name, k):
-    # truncated_power_init refuses k in its top-k selection, the others before any work
+    # every initializer refuses k before any work, with the one shared message
     _, meas = _instance(21)
-    with pytest.raises(ValueError, match=rf"\bk\b.*\b{k}\b"):
+    with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=24$"):
         _initializers(4, None)[name](meas, k)
 
 

@@ -1,10 +1,11 @@
 """The names the benchmark reaches in gesp, exercised in Tier-1.
 
-`perfbench/tracing.py` wraps 19 gesp functions by name, and
-`perfbench/checks.py` re-runs trials through `bench` and `pursuit`.  Both are
-loaded here by path, as the benchmark loads them, so that a change to gesp
-that breaks a traced or checked name fails here and not only in a benchmark
-run.
+`perfbench/tracing.py` wraps 19 gesp functions by name,
+`perfbench/checks.py` re-runs trials through `bench` and `pursuit`, and
+`perfbench/worker.py` times rounds of `load_config`'s configs through
+`resolved_ratios`, `run_sweep` and `write_csv`.  All three are loaded here
+from `perfbench/`, as the benchmark loads them, so that a change to gesp
+that breaks a name they reach fails here and not only in a benchmark run.
 """
 
 import csv
@@ -16,6 +17,16 @@ from gesp import bench
 from gesp.bench import config_from_dict
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+SWEEP = {
+    "schema_version": 1, "n": 24, "k": 4, "ratios": [0.5, 1.0], "trials": 2, "base_seed": 7,
+    "signal": {"model": "gaussian"},
+    "algorithms": [
+        {"algorithm": "gesp", "strategy": "known_structure"}, {"algorithm": "gesp", "strategy": "ensemble"},
+        {"algorithm": "esp"}, {"algorithm": "diag_two_step"}, {"algorithm": "truncated_power"},
+    ],
+}
 
 
 def _load(name: str):
@@ -32,14 +43,7 @@ def _gesp_bindings() -> dict:
 
 def test_traced_sweep_calls_every_name_and_passes_the_checks(tmp_path):
     tracing, checks = _load("tracing"), _load("checks")
-    config = config_from_dict({
-        "schema_version": 1, "n": 24, "k": 4, "ratios": [0.5, 1.0], "trials": 2, "base_seed": 7,
-        "signal": {"model": "gaussian"},
-        "algorithms": [
-            {"algorithm": "gesp", "strategy": "known_structure"}, {"algorithm": "gesp", "strategy": "ensemble"},
-            {"algorithm": "esp"}, {"algorithm": "diag_two_step"}, {"algorithm": "truncated_power"},
-        ],
-    })
+    config = config_from_dict(SWEEP)
     before = _gesp_bindings()
     tracer = tracing.Tracer()
     tracer.install()  # getattr on every traced name
@@ -63,3 +67,16 @@ def test_traced_sweep_calls_every_name_and_passes_the_checks(tmp_path):
     # one check per row; per ratio, two per algorithm and one each for known_structure's pursuit,
     # the ensemble's residual, esp against fixed p = 1 and diag_two_step's support
     assert found.attempted == len(rows) + 2 * (2 * len(config.algorithms) + 4) == 48
+
+
+def test_worker_rounds_repeat_and_pass_the_checks(tmp_path, monkeypatch):
+    # run.py starts worker.py as a script, so perfbench/ leads its import path
+    monkeypatch.syspath_prepend(REPO / "perfbench")
+    worker = importlib.import_module("worker")
+    configs = [config_from_dict({**SWEEP, "out_path": str(tmp_path / "sweep.csv")})]
+    rounds = [worker.run_round(configs) for _ in range(2)]
+    assert [(r["trials"], r["records"], r["errors"]) for r in rounds] == [(4, 20, 0)] * 2
+    assert rounds[0]["digest"] == rounds[1]["digest"]
+    found = worker.checks.Checks()
+    worker.correctness(configs, "desk", rounds, 7, found)
+    assert (found.failed, found.messages) == (0, [])
