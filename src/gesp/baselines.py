@@ -70,21 +70,17 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -
     start = diag_two_step_init(meas, k)
     s0, v = start.support, start.z / np.linalg.norm(start.z)
     op = spectrum.build(meas, "exponential")
-    path, cycle = [s0], None  # the supports visited, in order
-    first = {s0.tobytes(): 0}  # support bytes -> its index in path
+    key = s0.tobytes()
+    visited = {key: s0}  # support bytes -> support, in the order visited
     for _ in range(iters):
         w = spectrum.matvec(op, v)
         keep = top_k_indices(np.abs(w), k)
         norm = np.linalg.norm(w[keep])
-        if norm == 0.0:
+        if norm == 0.0 or (key := keep.tobytes()) in visited:
             break
-        key = keep.tobytes()
-        if key in first:
-            cycle = path[first[key]:]
-            break
-        first[key] = len(path)
-        path.append(keep)
+        visited[key] = keep
         v = np.zeros(meas.n, dtype=complex)
         v[keep] = w[keep] / norm
-    candidates = cycle or path[-1:]
-    return min((_finish(op, s, k, s0) for s in candidates), key=lambda est: est.residual_score)
+    # the supports from key's first visit on: the cycle after a repeat, else the last support alone
+    cycle = list(visited.values())[list(visited).index(key):]
+    return min((_finish(op, s, k, s0) for s in cycle), key=lambda est: est.residual_score)

@@ -111,9 +111,12 @@ class BenchConfig:
         if not isinstance(self.signal, SignalModelSpec):
             raise ConfigError(f"signal must be a SignalModelSpec, got {self.signal!r}")
         for name, noun in (("ratios", "ratio"), ("algorithms", "algorithm")):  # each read once: an iterator is spent
-            if isinstance(value := getattr(self, name), (str, dict)):  # tuple() splits a string, keeps a dict's keys
-                raise ConfigError(f"{name} must be a JSON array, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
+            try:  # tuple() splits a string and keeps a dict's keys: both are refused as if it could not iterate them
+                if isinstance(value := getattr(self, name), (str, dict)):
+                    raise TypeError
+                object.__setattr__(self, name, tuple(value))
+            except TypeError as exc:
+                raise ConfigError(f"{name} must be a JSON array, got {value!r}") from exc
             if not getattr(self, name):
                 raise ConfigError(f"at least one {noun} is required")
         object.__setattr__(self, "ratios", tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(self.ratios)))
@@ -182,10 +185,10 @@ class AggregateStats:
 # n and k sit at the top level, not in the signal object
 _TOP_KEYS = ("schema_version", "n", "k", *(field.name for field in fields(BenchConfig)))
 _SIGNAL_KEYS = tuple(field.name for field in fields(SignalModelSpec) if field.name not in ("n", "k"))
-# The keys an algorithm entry may carry: by strategy for gesp, else by name.
+# The keys an algorithm entry may carry, by the label the loader's messages print; see _parse_algorithm's default.
 _ENTRY_KEYS = {
-    "fixed": ("algorithm", "strategy", "p"),
-    "known_structure": ("algorithm", "strategy", "variant"),
+    "gesp fixed": ("algorithm", "strategy", "p"),
+    "gesp known_structure": ("algorithm", "strategy", "variant"),
     "truncated_power": ("algorithm", "iters"),
 }
 
@@ -220,10 +223,9 @@ def _parse_algorithm(entry, where: str, k: int) -> AlgorithmSpec:
     name, kind = entry["algorithm"], entry.get("strategy")
     if name != "gesp" and name not in BASELINE_KINDS:
         raise ConfigError(f"unknown algorithm {name!r} in {where}")
-    if name == "gesp":
-        _check_keys(entry, _ENTRY_KEYS.get(kind, ("algorithm", "strategy")), f"{where} (gesp {kind})")
-    else:
-        _check_keys(entry, _ENTRY_KEYS.get(name, ("algorithm",)), f"{where} ({name})")
+    label = f"gesp {kind}" if name == "gesp" else name  # a string, whatever JSON type the strategy has
+    default = ("algorithm", "strategy") if name == "gesp" else ("algorithm",)
+    _check_keys(entry, _ENTRY_KEYS.get(label, default), f"{where} ({label})")
     try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
         if p is not None and p > k:  # gesp would flag every record of the entry

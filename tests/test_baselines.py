@@ -148,6 +148,21 @@ class TestTruncatedPower:
         with pytest.raises(ValueError):
             truncated_power_init(meas, 6, iters=-1)
 
+    def test_vanishing_product_finishes_the_start_support(self, monkeypatch):
+        # rows 0-1 are zero with y = 1, rows 2-3 are zero on columns 0-1 with y = 0: every diagonal
+        # entry ties at zero, so the start support is [0, 1], and Z v is exactly zero on the first step
+        sensing = np.zeros((4, 6), dtype=complex)
+        sensing[2:, 2:] = 1.0
+        meas = MeasurementSet(sensing=sensing, y=np.array([1.0, 1.0, 0.0, 0.0]))
+        products, matvec = [], spectrum.matvec
+        monkeypatch.setattr(spectrum, "matvec", lambda op, v: products.append(matvec(op, v)) or products[-1])
+        est = truncated_power_init(meas, 2)
+        assert len(products) == 1 and not products[0].any()
+        assert est.support.tolist() == est.s0.tolist() == [0, 1]
+        finished = step4_estimate(spectrum.build(meas, "exponential"), np.array([0, 1]))
+        assert est.z.tobytes() == finished.tobytes()
+        assert np.linalg.norm(est.z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-12) and meas.lambda_sq == 0.5
+
     @staticmethod
     def _cycling_instance():
         # golden.json, ratio index 2, trial 3: from iteration 2 on the

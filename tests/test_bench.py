@@ -23,8 +23,8 @@ from gesp.bench import (
     write_csv,
     write_plot_data,
 )
-from gesp.pursuit import PStrategy, gesp
-from gesp.signals import SignalModelSpec
+from gesp.pursuit import STRATEGY_KINDS, PStrategy, gesp
+from gesp.signals import SIGNAL_MODELS, SignalModelSpec
 
 from oracles import StreamingMoments
 import sweep_tasks
@@ -178,14 +178,16 @@ class TestConfig:
         ({"trials": np.True_}, f"trials must be an integer, got {np.True_!r}"),
         ({"base_seed": np.False_}, f"base_seed must be an integer, got {np.False_!r}"),
         ({"ratios": (np.True_,)}, f"ratios[0] must be a number, got {np.True_!r}"),
+        ({"ratios": 5}, "ratios must be a JSON array, got 5"),
+        ({"algorithms": None}, "algorithms must be a JSON array, got None"),
     ], ids=["signal-string", "algorithm-string", "algorithm-none", "ratios-str", "algorithms-str", "ratios-dict",
             "algorithms-dict", "ratios-empty-iterator", "algorithms-empty-iterator", "trials-np-bool",
-            "base_seed-np-bool", "ratio-np-bool"])
+            "base_seed-np-bool", "ratio-np-bool", "ratios-int", "algorithms-none"])
     def test_hand_built_parts_must_have_their_types(self, overrides, message):
         # signal="gaussian" used to raise a bare AttributeError, and ("esp",) to build and fail in run_sweep;
         # "0.5" failed as ratios[0] must be a number, got '0', and "esp" as algorithms[0] ... got 'e'; a dict
         # ran over its keys; an empty iterator is truthy and passed the emptiness check. np.bool_ is no
-        # np.integer, so it stays refused like True
+        # np.integer, so it stays refused like True. 5 and None raised a bare TypeError from tuple()
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             _mini_config(**overrides)
 
@@ -415,8 +417,25 @@ class TestStrictConfig:
         ({"signal": "gaussian"}, "signal must be a JSON object, got 'gaussian'"),
         ({"algorithms": ["esp"]}, "algorithms[0] must be an object with an 'algorithm' key: 'esp'"),
         ({"ratios": [1.0, "0.5"]}, "ratios[1] must be a number, got '0.5'"),
-    ], ids=["trials", "threads", "no-algorithms", "no-ratios", "signal-string", "algorithm-string", "ratio-string"])
+        ({"algorithms": [{"algorithm": "gesp", "strategy": "truncated_power", "iters": 5}]},
+         "unknown key 'iters' in algorithms[0] (gesp truncated_power); expected one of algorithm, strategy"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": "truncated_power"}]}, "bad algorithm entry algorithms[0] "
+         f"{{'algorithm': 'gesp', 'strategy': 'truncated_power'}}: unknown strategy 'truncated_power'; "
+         f"expected one of {STRATEGY_KINDS}"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": ["fixed"]}]}, "bad algorithm entry algorithms[0] "
+         f"{{'algorithm': 'gesp', 'strategy': ['fixed']}}: unknown strategy ['fixed']; "
+         f"expected one of {STRATEGY_KINDS}"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": {"kind": "fixed"}}]}, "bad algorithm entry algorithms[0] "
+         f"{{'algorithm': 'gesp', 'strategy': {{'kind': 'fixed'}}}}: unknown strategy {{'kind': 'fixed'}}; "
+         f"expected one of {STRATEGY_KINDS}"),
+        ({"signal": {"model": "foo"}},
+         f"invalid config value: unknown signal model 'foo'; expected one of {SIGNAL_MODELS}"),
+    ], ids=["trials", "threads", "no-algorithms", "no-ratios", "signal-string", "algorithm-string", "ratio-string",
+            "strategy-baseline-with-its-key", "strategy-baseline", "strategy-array", "strategy-object", "signal-model"])
     def test_bad_value_rejected_by_name(self, overrides, message):
+        # a gesp strategy named like a baseline used to take that baseline's keys, and was told it may not carry
+        # strategy; an array or object failed its key lookup as invalid config value: unhashable type. A
+        # constructor's plain ValueError, as for an unknown signal model, is wrapped by the loader
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict(_raw_config(**overrides))
 
@@ -429,7 +448,9 @@ class TestStrictConfig:
             config_from_dict(_raw_config(**{key: value}))
 
     def test_type_error_is_wrapped(self):
-        with pytest.raises(ConfigError, match="^invalid config value: 'int' object is not iterable$") as info:
+        # the loader used to wrap tuple()'s TypeError as invalid config value: 'int' object is not iterable;
+        # BenchConfig now names the field, and the loader keeps its wrap for any TypeError that gets past it
+        with pytest.raises(ConfigError, match="^ratios must be a JSON array, got 5$") as info:
             config_from_dict(_raw_config(ratios=5))
         assert isinstance(info.value.__cause__, TypeError)
 

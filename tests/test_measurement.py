@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gesp import spectrum
+from gesp import measurement, spectrum
 from gesp.measurement import (
     WEIGHTINGS, MeasurementSet, load_measurements, measure, sample_sensing, save_measurements,
 )
@@ -246,6 +247,20 @@ class TestBinaryDump:
         cut = 21 + 16 * 150 + 3  # mid-entry, inside the sensing block
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=rf"meas\.bin: truncated file: expected {expected} bytes .* got {cut}"):
+            load_measurements(path)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # fstat reports the full size, as for a file cut after the size check: the short read fails by name
+        path, blob = self._dump_20x15(tmp_path)
+        path.write_bytes(blob[:-8])
+        fstat = os.fstat
+
+        def full_size(fd):  # st_size is field 6 of a stat_result
+            stat = fstat(fd)
+            return os.stat_result((*stat[:6], len(blob), *stat[7:]))
+
+        monkeypatch.setattr(measurement.os, "fstat", full_size)
+        with pytest.raises(ValueError, match=r"meas\.bin: truncated file: it shrank while being read$"):
             load_measurements(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -3,9 +3,10 @@
 `perfbench/tracing.py` wraps 19 gesp functions by name,
 `perfbench/checks.py` re-runs trials through `bench` and `pursuit`, and
 `perfbench/worker.py` times rounds of `load_config`'s configs through
-`resolved_ratios`, `run_sweep` and `write_csv`.  All three are loaded here
-from `perfbench/`, as the benchmark loads them, so that a change to gesp
-that breaks a name they reach fails here and not only in a benchmark run.
+`resolved_ratios`, `run_sweep` and `write_csv`, and `perfbench/workloads.py`
+writes those configs.  All four are loaded here from `perfbench/`, as the
+benchmark loads them, so that a change to gesp that breaks a name they reach
+or a config they write fails here and not only in a benchmark run.
 """
 
 import csv
@@ -80,3 +81,12 @@ def test_worker_rounds_repeat_and_pass_the_checks(tmp_path, monkeypatch):
     found = worker.checks.Checks()
     worker.correctness(configs, "desk", rounds, 7, found)
     assert (found.failed, found.messages) == (0, [])
+
+
+def test_benchmark_sweeps_load_with_a_traced_label():
+    # the sweeps above carry no "variant" or "iters" key, and the benchmark's configs carry both
+    tracing, workloads = _load("tracing"), _load("workloads")
+    for workload in workloads.WORKLOADS:  # desk, full_scale and large_k
+        for raw in workloads.sweep_configs(workload, 7):
+            labels = [tracing.algorithm_label(algo) for algo in config_from_dict(raw).algorithms]
+            assert set(labels) <= set(tracing.ALGORITHM_LABELS), (workload, labels)
