@@ -81,6 +81,11 @@ class AlgorithmSpec:
         return self.strategy.kind if self.name == "gesp" else ""
 
 
+def entry_label(algorithm: str, strategy) -> str:
+    """How messages, `gesp single` and the plot data name an entry: `gesp fixed`, or a baseline's name."""
+    return f"{algorithm} {strategy}" if algorithm == "gesp" else algorithm
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """One sweep's settings, checked and resolved to ratio_grid on construction: n and k come from the signal,
@@ -120,7 +125,7 @@ class BenchConfig:
             if not getattr(self, name):
                 raise ConfigError(f"at least one {noun} is required")
         object.__setattr__(self, "ratios", tuple(_float(r, f"ratios[{i}]") for i, r in enumerate(self.ratios)))
-        grid, labels = {}, {}  # m -> its first ratio; (name, strategy_label), as records name an entry -> its index
+        grid, labels = {}, {}  # m -> its first ratio; the entry_label of (name, strategy_label) -> its index
         for ratio in self.ratios:
             if not 0.0 < ratio <= 2.0:
                 raise ConfigError(f"ratio {ratio} outside (0, 2]")
@@ -131,8 +136,10 @@ class BenchConfig:
         for i, algo in enumerate(self.algorithms):
             if not isinstance(algo, AlgorithmSpec):
                 raise ConfigError(f"algorithms[{i}] must be an AlgorithmSpec, got {algo!r}")
-            if (first := labels.setdefault((algo.name, algo.strategy_label), i)) != i:
-                raise ConfigError(f"algorithms[{first}] and algorithms[{i}] are both {algo.name, algo.strategy_label}")
+            if algo.strategy and (algo.strategy.p_value or 0) > self.k:  # gesp would flag every record of the entry
+                raise ConfigError(f"algorithms[{i}].p = {algo.strategy.p_value} exceeds k = {self.k}")
+            if (first := labels.setdefault(label := entry_label(algo.name, algo.strategy_label), i)) != i:
+                raise ConfigError(f"algorithms[{first}] and algorithms[{i}] are both {label}")
 
     @property
     def n(self) -> int:
@@ -217,19 +224,17 @@ def _float(value, where: str) -> float:
     return float(value)
 
 
-def _parse_algorithm(entry, where: str, k: int) -> AlgorithmSpec:
+def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
     if not isinstance(entry, dict) or "algorithm" not in entry:
         raise ConfigError(f"{where} must be an object with an 'algorithm' key: {entry!r}")
     name, kind = entry["algorithm"], entry.get("strategy")
     if name != "gesp" and name not in BASELINE_KINDS:
         raise ConfigError(f"unknown algorithm {name!r} in {where}")
-    label = f"gesp {kind}" if name == "gesp" else name  # a string, whatever JSON type the strategy has
+    label = entry_label(name, kind)  # a string, whatever JSON type the strategy has
     default = ("algorithm", "strategy") if name == "gesp" else ("algorithm",)
     _check_keys(entry, _ENTRY_KEYS.get(label, default), f"{where} ({label})")
     try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
-        if p is not None and p > k:  # gesp would flag every record of the entry
-            raise ConfigError(f"{where}.p = {p} exceeds k = {k}")
         strategy = PStrategy(kind, p, entry.get("variant", PStrategy.variant)) if name == "gesp" else None
         iters = _int(entry.get("iters", AlgorithmSpec.tpm_iters), f"{where}.iters")
         return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
@@ -251,10 +256,9 @@ def load_config(path) -> BenchConfig:
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Validate a parsed config.  Every key must be known where it sits (the top level, `signal`,
-    `algorithms[i]`), a gesp `fixed` p at most k (only here: a hand-built one flags its records) and
-    `signal.decay` beside exp_decay only; the constructors check the values, and the shape of `ratios` and
-    `algorithms`, as they check a hand-built config's.  Each error names the offending key.  `n` and `k` go
-    to the signal; a missing optional key takes the default of its dataclass field."""
+    `algorithms[i]`) and `signal.decay` beside exp_decay only; the constructors check the values, and the
+    shape of `ratios` and `algorithms`, as they check a hand-built config's.  Each error names the offending
+    key.  `n` and `k` go to the signal; a missing optional key takes the default of its dataclass field."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     version = raw.get("schema_version")
@@ -275,7 +279,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
             trials=raw["trials"],
             base_seed=raw["base_seed"],
             signal=signal,
-            algorithms=[_parse_algorithm(a, f"algorithms[{i}]", k) for i, a in enumerate(raw["algorithms"])]
+            algorithms=[_parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(raw["algorithms"])]
             if isinstance(raw["algorithms"], list) else raw["algorithms"],  # BenchConfig refuses any other by name
             **{key: raw[key] for key in ("threads", "out_path", "record_runtime") if key in raw},
         )
@@ -423,9 +427,9 @@ def write_csv(records, path) -> None:
 
 
 def write_plot_data(agg: dict[tuple[str, str, float], AggregateStats], path) -> None:
-    """Gnuplot-style blocks, one per algorithm: columns are ratio,
-    mean relative error, its sd, and mean support fraction; ratios
-    ascending; blocks separated by blank lines."""
+    """Gnuplot-style blocks, one per entry (algorithm and strategy), headed by
+    its entry_label: columns are ratio, mean relative error, its sd, and mean
+    support fraction; ratios ascending; blocks separated by blank lines."""
     blocks: dict[tuple[str, str], list[tuple[float, AggregateStats]]] = {}
     for (algorithm, strategy, ratio), stats in agg.items():
         blocks.setdefault((algorithm, strategy), []).append((ratio, stats))
@@ -434,8 +438,7 @@ def write_plot_data(agg: dict[tuple[str, str, float], AggregateStats], path) -> 
             for bi, ((algorithm, strategy), rows) in enumerate(blocks.items()):
                 if bi:
                     f.write("\n")
-                label = f"{algorithm} {strategy}".strip()
-                f.write(f"# {label}: ratio mean_rel_err sd_rel_err mean_support_frac\n")
+                f.write(f"# {entry_label(algorithm, strategy)}: ratio mean_rel_err sd_rel_err mean_support_frac\n")
                 for ratio, stats in sorted(rows, key=lambda item: item[0]):
                     f.write(" ".join((
                         _fmt(ratio), _fmt(stats.mean_rel_err),

@@ -89,7 +89,7 @@ def _cmd_single(args) -> int:
         print(f"true support: {sig.support.tolist()}")
     for algo in config.algorithms:
         columns, est = bench.run_entry(algo, meas, sig)  # the columns of the trial's CSV row
-        label = f"{columns['algorithm']} {columns['strategy']}".strip()
+        label = bench.entry_label(columns["algorithm"], columns["strategy"])
         if est is None:
             print(f"[{label}] error_flag=1")
             continue

@@ -34,7 +34,7 @@ STRATEGY_KINDS = ("fixed", "known_structure", "sqrt_k", "full_k", "ensemble")
 
 @dataclass(frozen=True)
 class PStrategy:
-    """How the pursuit width p is chosen at solve time."""
+    """How the pursuit width p is chosen at solve time, e.g. PStrategy("known_structure", variant="capped")."""
 
     kind: str
     p_value: int | None = None  # fixed only
@@ -56,22 +56,6 @@ class PStrategy:
     @classmethod
     def fixed(cls, p: int) -> "PStrategy":
         return cls(kind="fixed", p_value=p)
-
-    @classmethod
-    def known_structure(cls, variant: str = "global") -> "PStrategy":
-        return cls(kind="known_structure", variant=variant)
-
-    @classmethod
-    def sqrt_k(cls) -> "PStrategy":
-        return cls(kind="sqrt_k")
-
-    @classmethod
-    def full_k(cls) -> "PStrategy":
-        return cls(kind="full_k")
-
-    @classmethod
-    def ensemble(cls) -> "PStrategy":
-        return cls(kind="ensemble")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +104,7 @@ def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
 def gesp(
     meas: MeasurementSet,
     k: int,
-    strategy: PStrategy = PStrategy.full_k(),
+    strategy: PStrategy = PStrategy("full_k"),
     true_profile: MagnitudeProfile | None = None,
 ) -> InitEstimate:
     """Run the pursuit at every width the strategy allows and keep the

@@ -30,3 +30,8 @@ def environment_trial(config, ratio_index, trial_index):
     time.sleep(0.01)
     env = tuple(os.environ.get(var) for var in BLAS_THREAD_VARS)
     return [(os.getpid(), env, signal.getsignal(signal.SIGINT) == signal.SIG_IGN)]
+
+
+def exiting_trial(config, ratio_index, trial_index):
+    """End the worker process at once with status 3, as a crash would."""
+    os._exit(3)

@@ -213,7 +213,7 @@ def test_criterion_6_stage_statistics():
         rng = np.random.default_rng(61_000 + trial)
         sig = generate(SignalModelSpec(model="binary", n=n, k=k), rng)
         meas = measure(sig, sample_sensing(n, 3000, rng))
-        est = gesp(meas, k, PStrategy.full_k())
+        est = gesp(meas, k, PStrategy("full_k"))
         hits_c += set(sig.support.tolist()) <= set(est.support.tolist())
     t_c = time.time() - t0
 
@@ -223,7 +223,7 @@ def test_criterion_6_stage_statistics():
         rng = np.random.default_rng(62_000 + trial)
         sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
         meas = measure(sig, sample_sensing(n, 3000, rng))
-        est = gesp(meas, k, PStrategy.known_structure(), true_profile=sig.profile)
+        est = gesp(meas, k, PStrategy("known_structure"), true_profile=sig.profile)
         hits_d += dist(est.z, sig.vector) <= 0.9 * math.sqrt(sig.norm_sq)
     t_d = time.time() - t0
 
@@ -254,7 +254,7 @@ def _trend_sweep(model, algorithms, seed):
 
 def test_criterion_7a_trend_gaussian():
     agg = _trend_sweep("gaussian", (
-        AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure()),
+        AlgorithmSpec(name="gesp", strategy=PStrategy("known_structure")),
         AlgorithmSpec(name="esp"),
         AlgorithmSpec(name="diag_two_step"),
     ), 710)
@@ -277,7 +277,7 @@ def test_criterion_7a_trend_gaussian():
 
 def test_criterion_7b_trend_binary():
     agg = _trend_sweep("binary", (
-        AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+        AlgorithmSpec(name="gesp", strategy=PStrategy("full_k")),
         AlgorithmSpec(name="esp"),
         AlgorithmSpec(name="diag_two_step"),
         AlgorithmSpec(name="truncated_power"),
@@ -301,7 +301,7 @@ def test_criterion_7b_trend_binary():
 
 def test_criterion_7c_trend_exp_decay():
     agg = _trend_sweep("exp_decay", (
-        AlgorithmSpec(name="gesp", strategy=PStrategy.sqrt_k()),
+        AlgorithmSpec(name="gesp", strategy=PStrategy("sqrt_k")),
         AlgorithmSpec(name="esp"),
     ), 712)
     violations = []

@@ -68,7 +68,7 @@ class TestEsp:
             sig = _spike_signal(rng)
             meas = measure(sig, sample_sensing(128, 1024, rng))
             e_esp.append(relative_error(esp_init(meas, 8).z, sig.vector))
-            est = gesp(meas, 8, PStrategy.known_structure(), true_profile=sig.profile)
+            est = gesp(meas, 8, PStrategy("known_structure"), true_profile=sig.profile)
             e_gesp.append(relative_error(est.z, sig.vector))
         assert abs(np.mean(e_esp) - np.mean(e_gesp)) <= 0.05
 
@@ -230,8 +230,8 @@ class TestTruncatedPower:
 def _initializers(k, profile):
     """Every initializer as a function of (meas, k), keyed by name."""
     strategies = (
-        PStrategy.fixed((k + 1) // 2), PStrategy.known_structure(), PStrategy.sqrt_k(),
-        PStrategy.full_k(), PStrategy.ensemble(),
+        PStrategy.fixed((k + 1) // 2), PStrategy("known_structure"), PStrategy("sqrt_k"),
+        PStrategy("full_k"), PStrategy("ensemble"),
     )
     inits = {f"gesp-{s.kind}": functools.partial(gesp, strategy=s, true_profile=profile) for s in strategies}
     inits.update(esp=esp_init, diag_two_step=diag_two_step_init, truncated_power=truncated_power_init)
@@ -291,6 +291,6 @@ class TestOrderingOnBinarySignals:
             rng = np.random.default_rng(5_000 + trial)
             sig = generate(SignalModelSpec(model="binary", n=128, k=8), rng)
             meas = measure(sig, sample_sensing(128, 512, rng))
-            errs_gesp.append(relative_error(gesp(meas, 8, PStrategy.full_k()).z, sig.vector))
+            errs_gesp.append(relative_error(gesp(meas, 8, PStrategy("full_k")).z, sig.vector))
             errs_dt.append(relative_error(diag_two_step_init(meas, 8).z, sig.vector))
         assert np.mean(errs_gesp) <= np.mean(errs_dt)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import pathlib
 import re
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
 import numpy as np
@@ -39,7 +41,7 @@ def _mini_config(**overrides) -> BenchConfig:
         base_seed=99,
         signal=SignalModelSpec(model="gaussian", n=24, k=4),
         algorithms=(
-            AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+            AlgorithmSpec(name="gesp", strategy=PStrategy("full_k")),
             AlgorithmSpec(name="esp"),
         ),
     )
@@ -145,20 +147,20 @@ class TestConfig:
     @pytest.mark.parametrize("first, second, entries, label", [
         (AlgorithmSpec(name="gesp", strategy=PStrategy.fixed(1)), AlgorithmSpec(name="gesp", strategy=PStrategy.fixed(2)),
          ({"algorithm": "gesp", "strategy": "fixed", "p": 1}, {"algorithm": "gesp", "strategy": "fixed", "p": 2}),
-         "('gesp', 'fixed')"),
-        (AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure("global")),
-         AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure("capped")),
+         "gesp fixed"),
+        (AlgorithmSpec(name="gesp", strategy=PStrategy("known_structure", variant="global")),
+         AlgorithmSpec(name="gesp", strategy=PStrategy("known_structure", variant="capped")),
          ({"algorithm": "gesp", "strategy": "known_structure", "variant": "global"},
           {"algorithm": "gesp", "strategy": "known_structure", "variant": "capped"}),
-         "('gesp', 'known_structure')"),
+         "gesp known_structure"),
         (AlgorithmSpec(name="truncated_power", tpm_iters=5), AlgorithmSpec(name="truncated_power"),
          ({"algorithm": "truncated_power", "iters": 5}, {"algorithm": "truncated_power"}),
-         "('truncated_power', '')"),
+         "truncated_power"),
     ], ids=["fixed", "known_structure", "truncated_power"])
     def test_entries_with_one_label_rejected(self, first, second, entries, label):
         # a record names its entry by (algorithm, strategy): gesp fixed at two p used to merge into one
         # ('gesp', 'fixed', ratio) aggregate group of twice the trials, and known_structure global and
-        # capped to write rows that no reader could tell apart
+        # capped to write rows that no reader could tell apart. The message used to print a tuple, ('gesp', 'fixed')
         message = rf"^algorithms\[0\] and algorithms\[2\] are both {re.escape(label)}$"
         with pytest.raises(ConfigError, match=message):
             _mini_config(algorithms=(first, AlgorithmSpec(name="esp"), second))
@@ -192,10 +194,10 @@ class TestConfig:
             _mini_config(**overrides)
 
     @pytest.mark.parametrize("overrides", [
-        {"algorithms": (algo for algo in (AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+        {"algorithms": (algo for algo in (AlgorithmSpec(name="gesp", strategy=PStrategy("full_k")),
                                           AlgorithmSpec(name="esp")))},
         {"ratios": np.array([0.5, 1.0])},
-        {"ratios": [0.5, 1.0], "algorithms": [AlgorithmSpec(name="gesp", strategy=PStrategy.full_k()),
+        {"ratios": [0.5, 1.0], "algorithms": [AlgorithmSpec(name="gesp", strategy=PStrategy("full_k")),
                                               AlgorithmSpec(name="esp")]},
     ], ids=["algorithms-generator", "ratios-array", "lists"])
     def test_hand_built_sequence_read_once_into_a_tuple(self, overrides):
@@ -246,7 +248,7 @@ class TestConfig:
         assert AlgorithmSpec(name="truncated_power", tpm_iters=np.int64(3)).tpm_iters == 3
 
     @pytest.mark.parametrize("name, strategy, iters", [
-        ("esp", None, 5), ("diag_two_step", None, 3), ("gesp", PStrategy.full_k(), 7),
+        ("esp", None, 5), ("diag_two_step", None, 3), ("gesp", PStrategy("full_k"), 7),
     ])
     def test_tpm_iters_only_for_truncated_power(self, name, strategy, iters):
         # esp with tpm_iters=5 used to build and write the default's records
@@ -254,7 +256,7 @@ class TestConfig:
             AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
 
     @pytest.mark.parametrize("name, strategy", [
-        ("esp", PStrategy.full_k()), ("diag_two_step", PStrategy.sqrt_k()),
+        ("esp", PStrategy("full_k")), ("diag_two_step", PStrategy("sqrt_k")),
         ("truncated_power", PStrategy.fixed(1)),
     ])
     def test_strategy_only_for_gesp(self, name, strategy):
@@ -356,6 +358,17 @@ class TestStrictConfig:
         for build in (lambda: _mini_config(**overrides), lambda: config_from_dict(_raw_config(**overrides))):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 build()
+
+    @pytest.mark.parametrize("p", [5, 99, np.int64(5)], ids=["k+1", "99", "int64"])
+    def test_fixed_p_above_k_rejected_by_hand_and_from_json(self, p):
+        # a hand-built entry used to build and flag every record of the entry (error_flag 1), and
+        # the loader's refusal carried a "bad algorithm entry algorithms[0] {...}: " prefix
+        for build in (lambda p: _mini_config(algorithms=(AlgorithmSpec("gesp", PStrategy.fixed(p)),)),
+                      lambda p: config_from_dict(_raw_config(n=24, k=4, algorithms=[
+                          {"algorithm": "gesp", "strategy": "fixed", "p": int(p)}]))):
+            with pytest.raises(ConfigError, match=rf"^algorithms\[0\]\.p = {p} exceeds k = 4$"):
+                build(p)
+            assert build(4).algorithms[0].strategy.p_value == 4  # p = k is the widest width
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="'trails' in the top level"):
@@ -499,7 +512,7 @@ class TestOneSource:
             _mini_config(n=10, k=2)
 
     @pytest.mark.parametrize("strategy", [
-        PStrategy.fixed(2), PStrategy.sqrt_k(), PStrategy.full_k(), PStrategy.ensemble(),
+        PStrategy.fixed(2), PStrategy("sqrt_k"), PStrategy("full_k"), PStrategy("ensemble"),
     ], ids=lambda s: s.kind)
     def test_run_algorithm_profile_unread_outside_known_structure(self, strategy):
         config = _mini_config()
@@ -534,6 +547,15 @@ class TestRunSweep:
             run_sweep(config)
         assert len(log.read_text().splitlines()) <= config.threads + 2
 
+    def test_worker_exit_raises_and_restores_the_environment(self, monkeypatch):
+        # a worker that dies takes the pool down; the caller gets one named error and its own environment back
+        monkeypatch.setattr(bench, "_run_trial", sweep_tasks.exiting_trial)
+        environ = dict(os.environ)
+        with pytest.raises(RuntimeError, match="a sweep worker exited early") as raised:
+            run_sweep(_mini_config(threads=2))
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
+        assert dict(os.environ) == environ
+
     def test_paired_measurements_within_trial(self):
         records = run_sweep(_mini_config())
         by_trial = {}
@@ -549,12 +571,16 @@ class TestRunSweep:
         assert np.array_equal(sig_a.vector, sig_b.vector)
         assert np.array_equal(meas_a.sensing, meas_b.sensing)
 
-    def test_algorithm_error_flags_record_and_continues(self):
-        config = _mini_config(algorithms=(
-            AlgorithmSpec(name="gesp", strategy=PStrategy.fixed(99)),  # p > k at solve time
-            AlgorithmSpec(name="esp"),
-        ))
-        records = run_sweep(config)
+    def test_algorithm_error_flags_record_and_continues(self, monkeypatch):
+        real = bench.run_algorithm
+
+        def gesp_raises(algo, *args):
+            if algo.name == "gesp":
+                raise RuntimeError("gesp failed")
+            return real(algo, *args)
+
+        monkeypatch.setattr(bench, "run_algorithm", gesp_raises)
+        records = run_sweep(_mini_config())
         bad = [r for r in records if r.algorithm == "gesp"]
         good = [r for r in records if r.algorithm == "esp"]
         assert all(r.error_flag == 1 and math.isnan(r.relative_error) for r in bad)
@@ -662,6 +688,14 @@ class TestWritePlotData:
         blocks = [b for b in text.split("\n\n") if b.strip()]
         assert len(blocks) == 2  # one per algorithm
 
+    def test_block_headers_name_each_entry(self, tmp_path):
+        # each block is headed by its entry's label, as gesp single and the config messages name it
+        path = tmp_path / "plot.dat"
+        write_plot_data(aggregate(run_sweep(_mini_config())), path)
+        headers = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        assert headers == ["# gesp full_k: ratio mean_rel_err sd_rel_err mean_support_frac",
+                           "# esp: ratio mean_rel_err sd_rel_err mean_support_frac"]
+
     def test_unwritable_path_names_it(self, tmp_path):
         path = tmp_path / "no_such_dir" / "plot.dat"
         with pytest.raises(OSError, match=f"^failed writing plot data to {re.escape(str(path))}: "):
@@ -688,7 +722,7 @@ class TestSweepMonotonicity:
             trials=100, base_seed=808,
             signal=SignalModelSpec(model="gaussian", n=200, k=10),
             algorithms=(
-                AlgorithmSpec(name="gesp", strategy=PStrategy.known_structure()),
+                AlgorithmSpec(name="gesp", strategy=PStrategy("known_structure")),
                 AlgorithmSpec(name="esp"),
                 AlgorithmSpec(name="diag_two_step"),
             ),

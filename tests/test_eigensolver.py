@@ -162,7 +162,7 @@ class TestNearTies:
         # Z_{S1} of the first example1 trial, at order 64 on the eigvalsh-and-solve route
         config = bench.load_config(CONFIGS / "example1.json")
         _, _, meas = bench.build_trial_instance(config, 0, 0)
-        est = gesp(meas, config.k, PStrategy.full_k())
+        est = gesp(meas, config.k, PStrategy("full_k"))
         sub = spectrum.submatrix(spectrum.build(meas, "exponential"), est.support)
         assert sub.shape == (64, 64)
         v = max_eigvec(sub)
@@ -175,7 +175,7 @@ def _example1_s1_submatrix():
     """Z_{S1} of the first example1 trial, 64 x 64."""
     config = bench.load_config(CONFIGS / "example1.json")
     _, _, meas = bench.build_trial_instance(config, 0, 0)
-    est = gesp(meas, config.k, PStrategy.full_k())
+    est = gesp(meas, config.k, PStrategy("full_k"))
     return spectrum.submatrix(spectrum.build(meas, "exponential"), est.support)
 
 
@@ -222,7 +222,7 @@ def test_solve_route_keeps_every_discrete_output(monkeypatch):
     # example1 (k = 64) with the ensemble, once as shipped and once with eigh at every order
     config = bench.load_config(CONFIGS / "example1.json")
     config = dataclasses.replace(
-        config, trials=2, algorithms=(*config.algorithms, bench.AlgorithmSpec(name="gesp", strategy=PStrategy.ensemble()))
+        config, trials=2, algorithms=(*config.algorithms, bench.AlgorithmSpec("gesp", PStrategy("ensemble")))
     )
     solved = bench.run_sweep(config)
     monkeypatch.setattr(eigensolver, "SOLVE_MIN", config.k + 1)

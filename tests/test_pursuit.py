@@ -128,24 +128,24 @@ class TestStrategies:
 
     def test_sqrt_k_width(self):
         _, meas = _instance(30, n=40, k=16, m=200)
-        est = gesp(meas, 16, PStrategy.sqrt_k())
+        est = gesp(meas, 16, PStrategy("sqrt_k"))
         assert est.p_used == 4
         _, meas = _instance(31, n=40, k=10, m=200)
-        assert gesp(meas, 10, PStrategy.sqrt_k()).p_used == 4  # ceil(sqrt(10))
+        assert gesp(meas, 10, PStrategy("sqrt_k")).p_used == 4  # ceil(sqrt(10))
 
     def test_full_k_width(self):
         _, meas = _instance(32, n=20, k=6, m=100)
-        assert gesp(meas, 6, PStrategy.full_k()).p_used == 6
+        assert gesp(meas, 6, PStrategy("full_k")).p_used == 6
 
     def test_known_structure_on_example2(self):
         sig, meas = _instance(33, n=40, k=16, m=300, model="example2")
-        est = gesp(meas, 16, PStrategy.known_structure("global"), true_profile=sig.profile)
+        est = gesp(meas, 16, PStrategy("known_structure", variant="global"), true_profile=sig.profile)
         assert est.p_used == 2
 
     def test_known_structure_requires_profile(self):
         _, meas = _instance(34)
         with pytest.raises(ValueError):
-            gesp(meas, 3, PStrategy.known_structure())
+            gesp(meas, 3, PStrategy("known_structure"))
 
     @pytest.mark.parametrize("k", [0, 9])
     def test_k_outside_range_rejected(self, k):
@@ -166,7 +166,7 @@ class TestStrategies:
         with pytest.raises(ValueError):
             PStrategy(kind="sqrt_k", p_value=2)
         with pytest.raises(ValueError):
-            PStrategy.known_structure("corollary")
+            PStrategy("known_structure", variant="corollary")
 
     @pytest.mark.parametrize("p_value", [1.5, 2.0, True, "2", None])
     def test_fixed_p_value_must_be_an_integer(self, p_value):
@@ -186,7 +186,7 @@ class TestStrategies:
     def test_ensemble_dominates_every_fixed_width(self):
         for seed in range(5):
             _, meas = _instance(seed + 40, n=16, k=5, m=64)
-            ens = gesp(meas, 5, PStrategy.ensemble())
+            ens = gesp(meas, 5, PStrategy("ensemble"))
             runs = [gesp(meas, 5, PStrategy.fixed(p)) for p in range(1, 6)]
             scores = [run.residual_score for run in runs]
             assert ens.residual_score == min(scores)
@@ -203,8 +203,8 @@ class TestStrategies:
         sig, meas = _instance(36, n=16, k=5, m=80)
         diagonal, calls = spectrum.diagonal, []
         monkeypatch.setattr(spectrum, "diagonal", lambda op: calls.append(op) or diagonal(op))
-        for strat in (PStrategy.fixed(2), PStrategy.known_structure(), PStrategy.sqrt_k(),
-                      PStrategy.full_k(), PStrategy.ensemble()):
+        for strat in (PStrategy.fixed(2), PStrategy("known_structure"), PStrategy("sqrt_k"),
+                      PStrategy("full_k"), PStrategy("ensemble")):
             calls.clear()
             gesp(meas, 5, strat, true_profile=sig.profile)
             assert len(calls) == 1, strat.kind
@@ -214,7 +214,7 @@ class TestStrategies:
         # step 4 and the residual depend on S1 alone: widths that select the
         # same S1 share one finish
         _, meas = _instance(38, n=16, k=5, m=80)
-        est = gesp(meas, 5, PStrategy.ensemble())
+        est = gesp(meas, 5, PStrategy("ensemble"))
         op = spectrum.build(meas, "exponential")
         diag = spectrum.diagonal(op)
         supports = {
@@ -225,7 +225,7 @@ class TestStrategies:
         monkeypatch.setattr(
             pursuit, "step4_estimate", lambda op, s1: finished.append(s1.tobytes()) or step4(op, s1)
         )
-        assert gesp(meas, 5, PStrategy.ensemble()).z.tobytes() == est.z.tobytes()
+        assert gesp(meas, 5, PStrategy("ensemble")).z.tobytes() == est.z.tobytes()
         assert sorted(finished) == sorted(supports) and len(supports) < 5
 
 
@@ -253,8 +253,9 @@ def test_scan_matches_per_width_loop(edge, n, seed):
     sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
     sensing = np.ones((m, n), dtype=complex) if edge == "tied" else sample_sensing(n, m, rng)
     meas = measure(sig, sensing)
-    for strat in (PStrategy.fixed((k + 1) // 2), PStrategy.known_structure(), PStrategy.known_structure("capped"),
-                  PStrategy.sqrt_k(), PStrategy.full_k(), PStrategy.ensemble()):
+    for strat in (PStrategy.fixed((k + 1) // 2), PStrategy("known_structure"),
+                  PStrategy("known_structure", variant="capped"), PStrategy("sqrt_k"), PStrategy("full_k"),
+                  PStrategy("ensemble")):
         got = gesp(meas, k, strat, true_profile=sig.profile)
         want = per_width_pursuit(meas, k, _widths(strat, k, sig.profile))
         assert got.z.tobytes() == want.z.tobytes(), strat
@@ -273,7 +274,7 @@ def test_ensemble_is_its_winning_widths_run_on_exact_ties():
     m = int(rng.integers(1, 4 * n + 1))
     sig = generate(SignalModelSpec(model="gaussian", n=n, k=k), rng)
     meas = measure(sig, np.ones((m, n), dtype=complex))
-    got = gesp(meas, k, PStrategy.ensemble())
+    got = gesp(meas, k, PStrategy("ensemble"))
     want = gesp(meas, k, PStrategy.fixed(got.p_used))
     assert got.support.tolist() == want.support.tolist()
     assert got.z.tobytes() == want.z.tobytes()
@@ -286,7 +287,7 @@ def test_ensemble_is_its_winning_widths_run_with_binary_sensing():
         rng = np.random.default_rng(seed)
         sig = generate(SignalModelSpec("gaussian", 30, 2), rng)
         meas = measure(sig, rng.choice([-1.0, 1.0], size=(62, 30)).astype(complex))
-        got = gesp(meas, 2, PStrategy.ensemble())
+        got = gesp(meas, 2, PStrategy("ensemble"))
         want = gesp(meas, 2, PStrategy.fixed(got.p_used))
         assert got.support.tolist() == want.support.tolist(), seed
         assert got.z.tobytes() == want.z.tobytes(), seed
@@ -296,14 +297,14 @@ class TestPipelineInvariants:
     def test_cardinalities(self):
         for seed in range(5):
             _, meas = _instance(seed + 50, n=24, k=7, m=120)
-            for strat in (PStrategy.fixed(3), PStrategy.sqrt_k(), PStrategy.full_k()):
+            for strat in (PStrategy.fixed(3), PStrategy("sqrt_k"), PStrategy("full_k")):
                 est = gesp(meas, 7, strat)
                 assert est.support.size == 7
                 assert est.s0.size == est.p_used
 
     def test_estimate_norm(self):
         _, meas = _instance(60, n=24, k=7, m=120)
-        est = gesp(meas, 7, PStrategy.full_k())
+        est = gesp(meas, 7, PStrategy("full_k"))
         assert np.linalg.norm(est.z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-10)
 
     def test_metric_invariant_to_signal_phase(self):
@@ -316,8 +317,8 @@ class TestPipelineInvariants:
         from gesp.signals import SparseSignal
 
         rotated = SparseSignal(vector=rotated_vec)
-        est_a = gesp(measure(sig, sensing), 4, PStrategy.full_k())
-        est_b = gesp(measure(rotated, sensing), 4, PStrategy.full_k())
+        est_a = gesp(measure(sig, sensing), 4, PStrategy("full_k"))
+        est_b = gesp(measure(rotated, sensing), 4, PStrategy("full_k"))
         assert est_a.support.tolist() == est_b.support.tolist()
         err_a = relative_error(est_a.z, sig.vector)
         err_b = relative_error(est_b.z, rotated.vector)
@@ -331,7 +332,7 @@ class TestPipelineInvariants:
             sig = generate(SignalModelSpec(model="gaussian", n=128, k=8), rng)
             for m in (128, 1024):
                 meas = measure(sig, sample_sensing(128, m, rng))
-                est = gesp(meas, 8, PStrategy.known_structure(), true_profile=sig.profile)
+                est = gesp(meas, 8, PStrategy("known_structure"), true_profile=sig.profile)
                 errs[m].append(relative_error(est.z, sig.vector))
         assert np.mean(errs[1024]) < np.mean(errs[128])
 
