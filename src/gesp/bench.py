@@ -29,7 +29,7 @@ import numpy as np
 from .baselines import BASELINE_KINDS, TPM_ITERS, diag_two_step_init, esp_init, truncated_power_init
 from .measurement import MeasurementSet, measure, sample_sensing
 from .numerics import relative_error
-from .pursuit import InitEstimate, PStrategy, gesp
+from .pursuit import STRATEGY_KINDS, InitEstimate, PStrategy, gesp
 from .signals import SignalModelSpec, SparseSignal, generate
 
 SCHEMA_VERSION = 1
@@ -64,17 +64,17 @@ class AlgorithmSpec:
 
     name: str                        # gesp | esp | diag_two_step | truncated_power
     strategy: PStrategy | None = None  # gesp only
-    tpm_iters: int = TPM_ITERS       # truncated_power only
+    iters: int = TPM_ITERS           # truncated_power only
 
     def __post_init__(self):
         if self.name != "gesp" and self.name not in BASELINE_KINDS:
             raise ConfigError(f"unknown algorithm {self.name!r}")
         if (self.strategy is None) == (self.name == "gesp"):
             raise ConfigError(f"a strategy is for gesp only, and gesp needs one; got {self.strategy} for {self.name!r}")
-        if self.tpm_iters != TPM_ITERS and self.name != "truncated_power":  # it would be ignored
-            raise ConfigError(f"tpm_iters is only valid for truncated_power, not {self.name!r}")
-        if isinstance(self.tpm_iters, bool) or not isinstance(self.tpm_iters, (int, np.integer)) or self.tpm_iters < 1:
-            raise ConfigError(f"tpm_iters must be an integer >= 1, got {self.tpm_iters!r}")
+        if self.iters != TPM_ITERS and self.name != "truncated_power":  # it would be ignored
+            raise ConfigError(f"iters is only valid for truncated_power, not {self.name!r}")
+        if isinstance(self.iters, bool) or not isinstance(self.iters, (int, np.integer)) or self.iters < 1:
+            raise ConfigError(f"iters must be an integer >= 1, got {self.iters!r}")
 
     @property
     def strategy_label(self) -> str:
@@ -136,8 +136,8 @@ class BenchConfig:
         for i, algo in enumerate(self.algorithms):
             if not isinstance(algo, AlgorithmSpec):
                 raise ConfigError(f"algorithms[{i}] must be an AlgorithmSpec, got {algo!r}")
-            if algo.strategy and (algo.strategy.p_value or 0) > self.k:  # gesp would flag every record of the entry
-                raise ConfigError(f"algorithms[{i}].p = {algo.strategy.p_value} exceeds k = {self.k}")
+            if algo.strategy and (algo.strategy.p or 0) > self.k:  # gesp would flag every record of the entry
+                raise ConfigError(f"algorithms[{i}].p = {algo.strategy.p} exceeds k = {self.k}")
             if (first := labels.setdefault(label := entry_label(algo.name, algo.strategy_label), i)) != i:
                 raise ConfigError(f"algorithms[{first}] and algorithms[{i}] are both {label}")
 
@@ -232,12 +232,13 @@ def _parse_algorithm(entry, where: str) -> AlgorithmSpec:
         raise ConfigError(f"unknown algorithm {name!r} in {where}")
     label = entry_label(name, kind)  # a string, whatever JSON type the strategy has
     default = ("algorithm", "strategy") if name == "gesp" else ("algorithm",)
-    _check_keys(entry, _ENTRY_KEYS.get(label, default), f"{where} ({label})")
+    if name != "gesp" or kind in STRATEGY_KINDS:  # an unknown strategy: PStrategy names it, whatever its keys
+        _check_keys(entry, _ENTRY_KEYS.get(label, default), f"{where} ({label})")
     try:
         p = _int(entry["p"], f"{where}.p") if "p" in entry else None
         strategy = PStrategy(kind, p, entry.get("variant", PStrategy.variant)) if name == "gesp" else None
-        iters = _int(entry.get("iters", AlgorithmSpec.tpm_iters), f"{where}.iters")
-        return AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
+        iters = _int(entry.get("iters", AlgorithmSpec.iters), f"{where}.iters")
+        return AlgorithmSpec(name=name, strategy=strategy, iters=iters)
     except ValueError as exc:  # ConfigError is one too
         raise ConfigError(f"bad algorithm entry {where} {entry!r}: {exc}") from exc
 
@@ -313,7 +314,7 @@ def run_algorithm(algo: AlgorithmSpec, meas: MeasurementSet, k: int, sig: Sparse
         return esp_init(meas, k)
     if algo.name == "diag_two_step":
         return diag_two_step_init(meas, k)
-    return truncated_power_init(meas, k, algo.tpm_iters)
+    return truncated_power_init(meas, k, algo.iters)
 
 
 def run_entry(algo: AlgorithmSpec, meas: MeasurementSet, sig: SparseSignal,

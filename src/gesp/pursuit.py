@@ -8,13 +8,13 @@ Given phaseless measurements of a k-sparse signal, the pipeline
   4. returns the maximal eigenvector of the S1 submatrix rescaled so that
      ||z||^2 equals lambda_sq.
 
-Every strategy resolves to a range of widths: fixed, known_structure
-(derived from the true energy profile, an oracle regime), sqrt_k and full_k
-give one width, ensemble gives all of [k].  gesp scans the range once over
-one spectrum and diagonal: steps 1-3 per width, step 4 once per distinct S1,
-and keeps the estimate most consistent with the measurements, so the
-ensemble's estimate is its winning width's run bit for bit.  The baselines
-finish their own supports with the same step 4 and residual_score.
+Steps 1 and 3 are top_k_indices calls in gesp's loop, step 4 is _finish's
+scaled step-2 direction.  A strategy resolves to one width (fixed,
+known_structure from the true energy profile, an oracle regime, sqrt_k,
+full_k) or to all of [k] (ensemble).  gesp scans them over one spectrum
+and diagonal, steps 1-3 per width and step 4 once per distinct S1, and keeps
+the estimate most consistent with the measurements (the ensemble's is its
+winning width's run bit for bit); the baselines finish with the same _finish.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ class PStrategy:
     """How the pursuit width p is chosen at solve time, e.g. PStrategy("known_structure", variant="capped")."""
 
     kind: str
-    p_value: int | None = None  # fixed only
+    p: int | None = None        # fixed only
     variant: str = "global"     # known_structure only
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
         if self.kind == "fixed":
-            if isinstance(self.p_value, bool) or not isinstance(self.p_value, (int, np.integer)) or self.p_value < 1:
-                raise ValueError(f"fixed strategy needs a positive integer p_value, got {self.p_value!r}")
-        elif self.p_value is not None:
-            raise ValueError(f"p_value is only valid for the fixed strategy, not {self.kind!r}")
+            if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
+                raise ValueError(f"fixed strategy needs a positive integer p, got {self.p!r}")
+        elif self.p is not None:
+            raise ValueError(f"p is only valid for the fixed strategy, not {self.kind!r}")
         if self.variant not in P_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {P_VARIANTS}")
         if self.kind != "known_structure" and self.variant != PStrategy.variant:
@@ -55,7 +55,7 @@ class PStrategy:
 
     @classmethod
     def fixed(cls, p: int) -> "PStrategy":
-        return cls(kind="fixed", p_value=p)
+        return cls(kind="fixed", p=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +75,6 @@ def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
     return e0
 
 
-def step3_select_s1(op: spectrum.SpectrumOperator, e0, k: int) -> np.ndarray:
-    """Indices of the k largest-modulus entries of Z e0, sorted ascending."""
-    return top_k_indices(np.abs(spectrum.matvec(op, e0)), k)
-
-
-def step4_estimate(op: spectrum.SpectrumOperator, s1) -> np.ndarray:
-    """Step 2's direction on S1, scaled to ||z||^2 = the measurements' lambda_sq."""
-    return step2_direction(op, s1) * math.sqrt(op.meas.lambda_sq)
-
-
 def residual_score(meas: MeasurementSet, z) -> float:
     """(1/m) sum_i (y_i - |a_i* z|)^2: zero iff z explains every modulus."""
     z = np.asarray(z, dtype=complex)
@@ -97,7 +87,7 @@ def residual_score(meas: MeasurementSet, z) -> float:
 
 def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
     """Step 4 on the support s1, scored against the measurements."""
-    z = step4_estimate(op, s1)
+    z = step2_direction(op, s1) * math.sqrt(op.meas.lambda_sq)  # step 4
     return InitEstimate(z=z, support=s1, p_used=p_used, s0=s0, residual_score=residual_score(op.meas, z))
 
 
@@ -122,7 +112,7 @@ def gesp(
     if not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
     if strategy.kind == "fixed":
-        p = strategy.p_value
+        p = strategy.p
         if p > k:
             raise ValueError(f"fixed p={p} exceeds k={k}")
     elif strategy.kind == "known_structure":
@@ -139,7 +129,7 @@ def gesp(
     finished = {}  # S1 bytes -> its estimate at the smallest width selecting it
     for w in widths:
         s0 = top_k_indices(diag, w)  # step 1
-        s1 = step3_select_s1(op, step2_direction(op, s0), k)
+        s1 = top_k_indices(np.abs(spectrum.matvec(op, step2_direction(op, s0))), k)  # steps 2 and 3
         if s1.tobytes() not in finished:
             finished[s1.tobytes()] = _finish(op, s1, w, s0)
     return min(finished.values(), key=lambda est: est.residual_score)

@@ -120,7 +120,7 @@ def per_width_pursuit(meas, k, widths):
     the smallest width on ties."""
     from gesp import spectrum
     from gesp.numerics import top_k_indices
-    from gesp.pursuit import _finish, step2_direction, step3_select_s1
+    from gesp.pursuit import _finish, step2_direction
 
     op = spectrum.build(meas, "exponential")
     diag = spectrum.diagonal(op)
@@ -128,7 +128,7 @@ def per_width_pursuit(meas, k, widths):
     def run_with_p(p):
         s0 = top_k_indices(diag, p)
         e0 = step2_direction(op, s0)
-        return _finish(op, step3_select_s1(op, e0, k), p, s0)
+        return _finish(op, top_k_indices(np.abs(spectrum.matvec(op, e0)), k), p, s0)
 
     return min((run_with_p(p) for p in widths), key=lambda est: est.residual_score)
 

@@ -10,7 +10,7 @@ from gesp.baselines import diag_two_step_init, esp_init, truncated_power_init
 from gesp.bench import build_trial_instance, load_config
 from gesp.measurement import MeasurementSet, measure, sample_sensing
 from gesp.numerics import magnitude_profile, relative_error
-from gesp.pursuit import PStrategy, gesp, residual_score, step4_estimate
+from gesp.pursuit import PStrategy, _finish, gesp, residual_score
 from gesp.signals import SignalModelSpec, SparseSignal, generate, sample_support
 
 from oracles import jacobi_max_eigvec, phase_aligned_gap, topk_sorted
@@ -159,7 +159,7 @@ class TestTruncatedPower:
         est = truncated_power_init(meas, 2)
         assert len(products) == 1 and not products[0].any()
         assert est.support.tolist() == est.s0.tolist() == [0, 1]
-        finished = step4_estimate(spectrum.build(meas, "exponential"), np.array([0, 1]))
+        finished = _finish(spectrum.build(meas, "exponential"), np.array([0, 1]), 2, np.array([0, 1])).z
         assert est.z.tobytes() == finished.tobytes()
         assert np.linalg.norm(est.z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-12) and meas.lambda_sq == 0.5
 
@@ -196,7 +196,7 @@ class TestTruncatedPower:
         est = truncated_power_init(meas, k, 50)
         assert est.support.tolist() in cycle
         op = spectrum.build(meas, "exponential")
-        scores = [residual_score(meas, step4_estimate(op, np.array(c))) for c in cycle]
+        scores = [residual_score(meas, _finish(op, np.array(c), k, np.array(c)).z) for c in cycle]
         assert est.residual_score == min(scores)
 
     def test_three_cycle_stops_and_keeps_smaller_residual(self, monkeypatch):
@@ -207,7 +207,7 @@ class TestTruncatedPower:
         start = int(diag_two_step_init(meas, 1).support[0])
         others = [j for j in range(meas.n) if j != start][:3]
         scores = {
-            j: residual_score(meas, step4_estimate(op, np.array([j]))) for j in others
+            j: residual_score(meas, _finish(op, np.array([j]), 1, np.array([j])).z) for j in others
         }
         worst, middle, best = sorted(others, key=scores.get, reverse=True)
         a, b, c = worst, best, middle  # the best support is neither first nor last in the cycle

@@ -153,7 +153,7 @@ class TestConfig:
          ({"algorithm": "gesp", "strategy": "known_structure", "variant": "global"},
           {"algorithm": "gesp", "strategy": "known_structure", "variant": "capped"}),
          "gesp known_structure"),
-        (AlgorithmSpec(name="truncated_power", tpm_iters=5), AlgorithmSpec(name="truncated_power"),
+        (AlgorithmSpec(name="truncated_power", iters=5), AlgorithmSpec(name="truncated_power"),
          ({"algorithm": "truncated_power", "iters": 5}, {"algorithm": "truncated_power"}),
          "truncated_power"),
     ], ids=["fixed", "known_structure", "truncated_power"])
@@ -237,23 +237,23 @@ class TestConfig:
 
     def test_truncated_power_iters_checked_by_constructor(self):
         # the loader rejected "iters": 0, the constructor used to accept it
-        with pytest.raises(ConfigError, match="^tpm_iters must be an integer >= 1, got 0$"):
-            AlgorithmSpec(name="truncated_power", tpm_iters=0)
+        with pytest.raises(ConfigError, match="^iters must be an integer >= 1, got 0$"):
+            AlgorithmSpec(name="truncated_power", iters=0)
 
     @pytest.mark.parametrize("iters", [2.5, 2.0, True, "3", None])
     def test_truncated_power_iters_must_be_an_integer(self, iters):
         # 2.5 used to build and flag every record of the entry; True ran one iteration
-        with pytest.raises(ConfigError, match=f"^tpm_iters must be an integer >= 1, got {re.escape(repr(iters))}$"):
-            AlgorithmSpec(name="truncated_power", tpm_iters=iters)
-        assert AlgorithmSpec(name="truncated_power", tpm_iters=np.int64(3)).tpm_iters == 3
+        with pytest.raises(ConfigError, match=f"^iters must be an integer >= 1, got {re.escape(repr(iters))}$"):
+            AlgorithmSpec(name="truncated_power", iters=iters)
+        assert AlgorithmSpec(name="truncated_power", iters=np.int64(3)).iters == 3
 
     @pytest.mark.parametrize("name, strategy, iters", [
         ("esp", None, 5), ("diag_two_step", None, 3), ("gesp", PStrategy("full_k"), 7),
     ])
     def test_tpm_iters_only_for_truncated_power(self, name, strategy, iters):
-        # esp with tpm_iters=5 used to build and write the default's records
-        with pytest.raises(ConfigError, match=f"tpm_iters is only valid for truncated_power, not '{name}'"):
-            AlgorithmSpec(name=name, strategy=strategy, tpm_iters=iters)
+        # esp with iters=5 used to build and write the default's records
+        with pytest.raises(ConfigError, match=f"iters is only valid for truncated_power, not '{name}'"):
+            AlgorithmSpec(name=name, strategy=strategy, iters=iters)
 
     @pytest.mark.parametrize("name, strategy", [
         ("esp", PStrategy("full_k")), ("diag_two_step", PStrategy("sqrt_k")),
@@ -300,7 +300,7 @@ def _algorithms(index, **entry):
 class TestStrictConfig:
     def test_reference_config_loads(self):
         config = config_from_dict(_raw_config())
-        assert config.algorithms[0].strategy.p_value == 1 and config.algorithms[2].tpm_iters == 5
+        assert config.algorithms[0].strategy.p == 1 and config.algorithms[2].iters == 5
 
     @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_every_shipped_config_loads(self, path):
@@ -368,7 +368,7 @@ class TestStrictConfig:
                           {"algorithm": "gesp", "strategy": "fixed", "p": int(p)}]))):
             with pytest.raises(ConfigError, match=rf"^algorithms\[0\]\.p = {p} exceeds k = 4$"):
                 build(p)
-            assert build(4).algorithms[0].strategy.p_value == 4  # p = k is the widest width
+            assert build(4).algorithms[0].strategy.p == 4  # p = k is the widest width
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="'trails' in the top level"):
@@ -430,8 +430,9 @@ class TestStrictConfig:
         ({"signal": "gaussian"}, "signal must be a JSON object, got 'gaussian'"),
         ({"algorithms": ["esp"]}, "algorithms[0] must be an object with an 'algorithm' key: 'esp'"),
         ({"ratios": [1.0, "0.5"]}, "ratios[1] must be a number, got '0.5'"),
-        ({"algorithms": [{"algorithm": "gesp", "strategy": "truncated_power", "iters": 5}]},
-         "unknown key 'iters' in algorithms[0] (gesp truncated_power); expected one of algorithm, strategy"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": "truncated_power", "iters": 5}]}, "bad algorithm entry "
+         f"algorithms[0] {{'algorithm': 'gesp', 'strategy': 'truncated_power', 'iters': 5}}: unknown strategy "
+         f"'truncated_power'; expected one of {STRATEGY_KINDS}"),
         ({"algorithms": [{"algorithm": "gesp", "strategy": "truncated_power"}]}, "bad algorithm entry algorithms[0] "
          f"{{'algorithm': 'gesp', 'strategy': 'truncated_power'}}: unknown strategy 'truncated_power'; "
          f"expected one of {STRATEGY_KINDS}"),
@@ -443,12 +444,27 @@ class TestStrictConfig:
          f"expected one of {STRATEGY_KINDS}"),
         ({"signal": {"model": "foo"}},
          f"invalid config value: unknown signal model 'foo'; expected one of {SIGNAL_MODELS}"),
+        ({"algorithms": [{"algorithm": "gesp", "p": 1}]}, "bad algorithm entry algorithms[0] "
+         f"{{'algorithm': 'gesp', 'p': 1}}: unknown strategy None; expected one of {STRATEGY_KINDS}"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": ["fixed"], "p": 1}]}, "bad algorithm entry algorithms[0] "
+         f"{{'algorithm': 'gesp', 'strategy': ['fixed'], 'p': 1}}: unknown strategy ['fixed']; "
+         f"expected one of {STRATEGY_KINDS}"),
+        ({"algorithms": [{"algorithm": "truncated_power", "iters": 0}]}, "bad algorithm entry algorithms[0] "
+         "{'algorithm': 'truncated_power', 'iters': 0}: iters must be an integer >= 1, got 0"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": "fixed", "p": 0}]}, "bad algorithm entry algorithms[0] "
+         "{'algorithm': 'gesp', 'strategy': 'fixed', 'p': 0}: fixed strategy needs a positive integer p, got 0"),
+        ({"algorithms": [{"algorithm": "gesp", "strategy": "fixed"}]}, "bad algorithm entry algorithms[0] "
+         "{'algorithm': 'gesp', 'strategy': 'fixed'}: fixed strategy needs a positive integer p, got None"),
     ], ids=["trials", "threads", "no-algorithms", "no-ratios", "signal-string", "algorithm-string", "ratio-string",
-            "strategy-baseline-with-its-key", "strategy-baseline", "strategy-array", "strategy-object", "signal-model"])
+            "strategy-baseline-with-its-key", "strategy-baseline", "strategy-array", "strategy-object", "signal-model",
+            "no-strategy-with-p", "strategy-array-with-p", "iters-0", "p-0", "p-missing"])
     def test_bad_value_rejected_by_name(self, overrides, message):
         # a gesp strategy named like a baseline used to take that baseline's keys, and was told it may not carry
         # strategy; an array or object failed its key lookup as invalid config value: unhashable type. A
-        # constructor's plain ValueError, as for an unknown signal model, is wrapped by the loader
+        # constructor's plain ValueError, as for an unknown signal model, is wrapped by the loader. An unknown
+        # strategy used to have its keys checked first: a missing one with a p failed as unknown key 'p' (gesp None),
+        # and "truncated_power" with its iters as unknown key 'iters'. The values the constructors refuse used to be
+        # named by longer field names, keys no config has
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict(_raw_config(**overrides))
 
@@ -498,6 +514,17 @@ class TestOneSource:
                 AlgorithmSpec(name="truncated_power"),
             ),
         )
+
+    @pytest.mark.parametrize("entry, spec", [
+        ({"algorithm": "gesp", "strategy": "fixed", "p": 2}, AlgorithmSpec("gesp", PStrategy("fixed", p=2))),
+        ({"algorithm": "gesp", "strategy": "known_structure", "variant": "capped"},
+         AlgorithmSpec("gesp", PStrategy("known_structure", variant="capped"))),
+        ({"algorithm": "truncated_power", "iters": 5}, AlgorithmSpec("truncated_power", iters=5)),
+    ], ids=["fixed", "known_structure", "truncated_power"])
+    def test_entry_keys_are_the_field_names(self, entry, spec):
+        # PStrategy("fixed", p=2) and AlgorithmSpec(..., iters=5) used to be TypeErrors: each field had a
+        # longer name than its key
+        assert config_from_dict(_raw_config(algorithms=[entry])).algorithms == (spec,)
 
     def test_n_and_k_are_the_signals(self):
         config = _mini_config(signal=SignalModelSpec(model="gaussian", n=30, k=5))

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import runpy
 import signal
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from gesp import bench
+from gesp import bench, cli
 from gesp.bench import BLAS_THREAD_VARS, build_trial_instance, load_config
 from gesp.cli import cli_main
 from gesp.measurement import save_measurements
@@ -283,7 +284,7 @@ class TestRun:
         assert "algorithms[0].p = 99 exceeds k = 3" in captured.err and captured.out == ""
         assert not (tmp_path / "out.csv").exists()
         fixed["p"] = 3  # p = k is the widest width and loads
-        assert load_config(_small_config(tmp_path, n=20, k=3, algorithms=[fixed])).algorithms[0].strategy.p_value == 3
+        assert load_config(_small_config(tmp_path, n=20, k=3, algorithms=[fixed])).algorithms[0].strategy.p == 3
 
     def test_error_rows_counted_on_stderr(self, tmp_path, capsys, monkeypatch):
         config = _small_config(tmp_path)
@@ -356,6 +357,36 @@ def test_help_exits_0(argv, capsys):
     # --help used to escape cli_main as SystemExit(0)
     assert cli_main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: gesp")
+
+
+class TestEntryPoints:
+    # the `gesp` script, `python -m gesp` and `python -m gesp.cli` run here in process, not only in subprocesses
+    ARGV = ["gesp", "oracle", "--n", "4", "--k", "1", "--m", "8", "--seed", "0"]
+
+    def _exits_0(self, run, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("gaussian signal n=4 k=1")
+
+    def test_main_exits_with_cli_main_status(self, monkeypatch, capsys):
+        self._exits_0(cli.main, monkeypatch, capsys)
+
+    def test_python_m_gesp(self, monkeypatch, capsys):
+        self._exits_0(lambda: runpy.run_module("gesp", run_name="__main__"), monkeypatch, capsys)
+
+    def test_cli_main_guard(self, monkeypatch, capsys):
+        # runpy warns that it runs gesp.cli again, as it is imported already
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            self._exits_0(lambda: runpy.run_module("gesp.cli", run_name="__main__"), monkeypatch, capsys)
+
+    def test_ctrl_c_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "_cmd_signal", interrupted)
+        assert cli_main(["signal", "--config", "unread.json"]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
 
 
 class TestSingle:

@@ -14,8 +14,6 @@ from gesp.pursuit import (
     gesp,
     residual_score,
     step2_direction,
-    step3_select_s1,
-    step4_estimate,
 )
 from gesp.signals import SignalModelSpec, generate
 
@@ -71,7 +69,7 @@ class TestSteps:
             diag = spectrum.diagonal(op)
             j_max = int(np.argmax(diag))
             e0 = step2_direction(op, np.array([j_max]))
-            s1 = step3_select_s1(op, e0, 4)
+            s1 = top_k_indices(np.abs(spectrum.matvec(op, e0)), 4)
             dense = dense_spectrum(meas.sensing, dense_expo_weights(meas.y))
             assert s1.tolist() == topk_sorted(np.abs(dense[:, j_max]), 4).tolist()
 
@@ -82,14 +80,14 @@ class TestSteps:
         op = spectrum.build(meas, "exponential")
         e0 = np.zeros(6, dtype=complex)
         e0[3] = 1.0
-        assert step3_select_s1(op, e0, 3).tolist() == [0, 1, 2]
+        assert top_k_indices(np.abs(spectrum.matvec(op, e0)), 3).tolist() == [0, 1, 2]
 
     def test_step4_norm_and_support(self):
         for seed in range(10):
             _, meas = _instance(seed)
             op = spectrum.build(meas, "exponential")
             s1 = np.array([0, 2, 5])
-            z = step4_estimate(op, s1)
+            z = pursuit._finish(op, s1, 3, s1).z
             assert np.linalg.norm(z) ** 2 == pytest.approx(meas.lambda_sq, rel=1e-10)
             assert set(np.flatnonzero(z)) <= set(s1.tolist())
 
@@ -164,24 +162,24 @@ class TestStrategies:
         with pytest.raises(ValueError):
             PStrategy.fixed(0)
         with pytest.raises(ValueError):
-            PStrategy(kind="sqrt_k", p_value=2)
+            PStrategy(kind="sqrt_k", p=2)
         with pytest.raises(ValueError):
             PStrategy("known_structure", variant="corollary")
 
-    @pytest.mark.parametrize("p_value", [1.5, 2.0, True, "2", None])
-    def test_fixed_p_value_must_be_an_integer(self, p_value):
+    @pytest.mark.parametrize("p", [1.5, 2.0, True, "2", None])
+    def test_fixed_p_value_must_be_an_integer(self, p):
         # 1.5 used to build and raise at solve time; True ran width 1
-        message = f"fixed strategy needs a positive integer p_value, got {p_value!r}"
+        message = f"fixed strategy needs a positive integer p, got {p!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PStrategy.fixed(p_value)
-        assert PStrategy.fixed(np.int64(2)).p_value == 2
+            PStrategy.fixed(p)
+        assert PStrategy.fixed(np.int64(2)).p == 2
 
-    @pytest.mark.parametrize("kind, p_value", [("fixed", 2), ("sqrt_k", None), ("full_k", None), ("ensemble", None)])
-    def test_variant_rejected_where_ignored(self, kind, p_value):
+    @pytest.mark.parametrize("kind, p", [("fixed", 2), ("sqrt_k", None), ("full_k", None), ("ensemble", None)])
+    def test_variant_rejected_where_ignored(self, kind, p):
         # only known_structure reads the variant; "capped" used to be accepted and ignored
         with pytest.raises(ValueError, match="variant is only valid for the known_structure strategy"):
-            PStrategy(kind, p_value, "capped")
-        assert PStrategy(kind, p_value).variant == "global"
+            PStrategy(kind, p, "capped")
+        assert PStrategy(kind, p).variant == "global"
 
     def test_ensemble_dominates_every_fixed_width(self):
         for seed in range(5):
@@ -218,12 +216,13 @@ class TestStrategies:
         op = spectrum.build(meas, "exponential")
         diag = spectrum.diagonal(op)
         supports = {
-            step3_select_s1(op, step2_direction(op, top_k_indices(diag, p)), 5).tobytes() for p in range(1, 6)
+            top_k_indices(np.abs(spectrum.matvec(op, step2_direction(op, top_k_indices(diag, p)))), 5).tobytes()
+            for p in range(1, 6)
         }
         finished = []
-        step4 = pursuit.step4_estimate
+        finish = pursuit._finish
         monkeypatch.setattr(
-            pursuit, "step4_estimate", lambda op, s1: finished.append(s1.tobytes()) or step4(op, s1)
+            pursuit, "_finish", lambda op, s1, *rest: finished.append(s1.tobytes()) or finish(op, s1, *rest)
         )
         assert gesp(meas, 5, PStrategy("ensemble")).z.tobytes() == est.z.tobytes()
         assert sorted(finished) == sorted(supports) and len(supports) < 5
@@ -234,7 +233,7 @@ def _widths(strategy, k, profile):
     if strategy.kind == "ensemble":
         return range(1, k + 1)
     return [{
-        "fixed": strategy.p_value,
+        "fixed": strategy.p,
         "known_structure": p_opt(profile, k, strategy.variant),
         "sqrt_k": math.isqrt(k - 1) + 1,
         "full_k": k,
