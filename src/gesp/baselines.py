@@ -36,7 +36,7 @@ def diag_two_step_init(meas: MeasurementSet, k: int) -> InitEstimate:
     """Two-step baseline on the quadratic spectrum (weights y_i^2): sort the
     diagonal, keep the top k as the support, then take the maximal
     eigenvector there, scaled to ||z||^2 = lambda_sq."""
-    if not 1 <= k <= meas.n:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
     op = spectrum.build(meas, "quadratic")
     s = top_k_indices(spectrum.diagonal(op), k)
@@ -65,8 +65,8 @@ def truncated_power_init(meas: MeasurementSet, k: int, iters: int = TPM_ITERS) -
     bounds the number of iterations; if the cap is reached without a repeat
     (or Z v vanishes on its top k), the last support is finished as above.
     """
-    if iters < 0:
-        raise ValueError("iters must be non-negative")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise ValueError(f"iters must be a non-negative integer, got {iters!r}")
     start = diag_two_step_init(meas, k)
     s0, v = start.support, start.z / np.linalg.norm(start.z)
     op = spectrum.build(meas, "exponential")

@@ -6,6 +6,7 @@ weighting, the weights w_i and the diagonal (1/m) sum_i w_i |a_ij|^2.  It
 holds its 16*m*n-byte sensing matrix plus O(m + n); building or sampling one
 adds two blocks of about 1 MB.  Sets are immutable and thread-safe.  A binary
 little-endian dump, for debugging, loads into one copy and saves from none.
+row_products is the one map v -> (a_i* v)_i: measure, residual_score, matvec.
 """
 
 from __future__ import annotations
@@ -91,13 +92,21 @@ def sample_sensing(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return sensing
 
 
+def row_products(sensing: np.ndarray, v) -> np.ndarray:
+    """The m products a_i* v, over the nonzero coordinates of the length-n vector v."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (sensing.shape[1],):
+        raise ValueError(f"expected a length-{sensing.shape[1]} vector, got shape {v.shape}")
+    nz = np.flatnonzero(v)
+    return sensing[:, nz].conj() @ v[nz]
+
+
 def measure(x: SparseSignal, sensing: np.ndarray) -> MeasurementSet:
     """Phaseless observations y_i = |a_i* x|."""
     sensing = np.asarray(sensing, dtype=complex)
     if sensing.ndim != 2 or sensing.shape[1] != x.n:
         raise ValueError(f"sensing must be m x {x.n}, got {sensing.shape}")
-    y = np.abs(sensing[:, x.support].conj() @ x.vector[x.support])
-    return MeasurementSet(sensing=sensing, y=y)
+    return MeasurementSet(sensing=sensing, y=np.abs(row_products(sensing, x.vector)))
 
 
 def sensing_layout(sensing) -> np.ndarray:

@@ -119,7 +119,7 @@ def top_k_indices(values, k: int) -> np.ndarray:
         raise ValueError(f"values must be a 1-d vector, got shape {vals.shape}")
     if not np.isfinite(vals).all():
         raise ValueError("values must be finite")
-    if not 1 <= k <= vals.size:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= vals.size:
         raise ValueError(f"k must be in [1, {vals.size}], got {k}")
     return np.sort(np.argsort(-vals, kind="stable")[:k])
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectrum
 from .eigensolver import max_eigvec
-from .measurement import MeasurementSet
+from .measurement import MeasurementSet, row_products
 from .numerics import MagnitudeProfile, P_VARIANTS, ceil_sqrt, p_opt, top_k_indices
 
 STRATEGY_KINDS = ("fixed", "known_structure", "sqrt_k", "full_k", "ensemble")
@@ -77,12 +77,7 @@ def step2_direction(op: spectrum.SpectrumOperator, s0) -> np.ndarray:
 
 def residual_score(meas: MeasurementSet, z) -> float:
     """(1/m) sum_i (y_i - |a_i* z|)^2: zero iff z explains every modulus."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (meas.n,):
-        raise ValueError(f"vector length {z.size} does not match n={meas.n}")
-    nz = np.flatnonzero(z)
-    moduli = np.abs(meas.sensing[:, nz].conj() @ z[nz])
-    return float(np.mean((meas.y - moduli) ** 2))
+    return float(np.mean((meas.y - np.abs(row_products(meas.sensing, z))) ** 2))
 
 
 def _finish(op: spectrum.SpectrumOperator, s1, p_used: int, s0) -> InitEstimate:
@@ -109,7 +104,7 @@ def gesp(
     MagnitudeProfile (an oracle input: it reproduces the regime where the
     energy structure is known).
     """
-    if not 1 <= k <= meas.n:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= meas.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={meas.n}")
     if strategy.kind == "fixed":
         p = strategy.p

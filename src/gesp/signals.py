@@ -35,6 +35,7 @@ class SignalModelSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if isinstance(self.decay, bool) or not isinstance(self.decay, (int, float, np.integer, np.floating)):
             raise ValueError(f"decay must be a real number, got {self.decay!r}")
+        object.__setattr__(self, "decay", float(self.decay))  # as BenchConfig stores ratios; in float32 decay^(k-1) underflows
         if self.n < 1 or self.k < 1 or self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.model != "exp_decay":

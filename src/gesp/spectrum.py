@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import WEIGHTINGS, MeasurementSet
+from .measurement import WEIGHTINGS, MeasurementSet, row_products
 from .signals import SparseSignal
 
 
@@ -68,12 +68,7 @@ def matvec(op: SpectrumOperator, v) -> np.ndarray:
     Cost O(m (||v||_0 + n)): the inner products touch only the nonzero
     coordinates of v, the rank-one accumulation is a dense m x n product.
     """
-    v = np.asarray(v, dtype=complex)
-    a = op.meas.sensing
-    if v.shape != (op.meas.n,):
-        raise ValueError(f"expected a length-{op.meas.n} vector, got shape {v.shape}")
-    nz = np.flatnonzero(v)
-    return a.T @ (op.weights * (a[:, nz].conj() @ v[nz])) / op.meas.m
+    return op.meas.sensing.T @ (op.weights * row_products(op.meas.sensing, v)) / op.meas.m
 
 
 def expectation_oracle(x: SparseSignal) -> np.ndarray:

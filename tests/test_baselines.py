@@ -110,6 +110,14 @@ class TestTruncatedPower:
         dt = diag_two_step_init(meas, 6)
         assert tp.support.tolist() == dt.support.tolist()
 
+    @pytest.mark.parametrize("iters", [-1, True, 2.5])
+    def test_iters_must_be_a_non_negative_integer(self, iters):
+        # True used to run one iteration, 2.5 to fail as a bare TypeError from range()
+        _, meas = _instance(30)
+        with pytest.raises(ValueError, match=f"^iters must be a non-negative integer, got {iters}$"):
+            truncated_power_init(meas, 6, iters=iters)
+        assert np.array_equal(truncated_power_init(meas, 6, iters=np.int64(2)).z, truncated_power_init(meas, 6, 2).z)
+
     def test_starts_from_two_step_estimate_at_unit_norm(self, monkeypatch):
         _, meas = _instance(30)
         dt = diag_two_step_init(meas, 6)
@@ -255,6 +263,18 @@ def test_k_outside_range_rejected(name, k):
     _, meas = _instance(21)
     with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=24$"):
         _initializers(4, None)[name](meas, k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0])
+@pytest.mark.parametrize("name", list(_initializers(4, None)))
+def test_k_must_be_an_integer(name, k):
+    # True used to run as k = 1 (with p_used=True from diag_two_step and truncated power), 2.0 to fail as a
+    # bare TypeError inside numpy; a numpy integer is still a k
+    _, meas = _instance(21)
+    init = _initializers(4, magnitude_profile(np.ones(4)))[name]
+    with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=24$"):
+        init(meas, k)
+    assert init(meas, np.int64(4)).support.tolist() == init(meas, 4).support.tolist()
 
 
 EDGES = ("k=n", "k=1", "m<k", "m=1", "tied")

@@ -517,3 +517,26 @@ class TestOracle:
         # --seed -1 used to be masked to 2^64 - 1 and exit 0
         assert cli_main(["oracle", "--n", "4", "--k", "2", "--m", "10", "--seed", seed]) == 1
         assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+
+
+class TestOutputDigests:
+    """tests/output_digests.py, the parent-against-change byte comparison, run as a script."""
+
+    def _run(self, env, *args):
+        script = REPO / "tests" / "output_digests.py"
+        return subprocess.run([sys.executable, str(script), str(REPO / "src"), *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_golden_csv_digest_is_the_golden_file(self):
+        run = self._run(dict(_cli_env(), **dict.fromkeys(BLAS_THREAD_VARS, "1")), "--only", "golden")
+        assert run.returncode == 0, run.stderr
+        digests = {name: digest for digest, name in (line.split("  ") for line in run.stdout.splitlines())}
+        assert list(digests) == ["golden.csv", "golden.plot"]
+        assert digests["golden.csv"] == hashlib.sha256((REPO / "tests" / "data" / "golden.csv").read_bytes()).hexdigest()
+
+    def test_unpinned_blas_refused_by_name(self):
+        env = {key: value for key, value in _cli_env().items() if key not in BLAS_THREAD_VARS}
+        run = self._run(dict(env, OMP_NUM_THREADS="1", MKL_NUM_THREADS="2"))
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.endswith("error: set OPENBLAS_NUM_THREADS, MKL_NUM_THREADS to 1: "
+                                   "the output bytes depend on the BLAS thread count\n")

@@ -255,6 +255,13 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_indices([1.0, 2.0], 3)
 
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # True used to keep one index, 2.0 to fail as a bare TypeError from the slice
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, 3\], got {k}$"):
+            top_k_indices([1.0, 3.0, 2.0], k)
+        assert top_k_indices([1.0, 3.0, 2.0], np.int64(2)).tolist() == [1, 2]
+
 
 class TestCeilSqrt:
     def test_least_c_with_square_at_least_k(self):

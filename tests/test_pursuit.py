@@ -108,7 +108,7 @@ class TestResidualScore:
     @pytest.mark.parametrize("z", [np.zeros(7, complex), np.zeros((8, 1), complex)], ids=["short", "column"])
     def test_length_mismatch_names_it(self, z):
         _, meas = _instance(22)
-        with pytest.raises(ValueError, match=f"^vector length {z.size} does not match n=8$"):
+        with pytest.raises(ValueError, match=rf"^expected a length-8 vector, got shape {re.escape(str(z.shape))}$"):
             residual_score(meas, z)
 
 

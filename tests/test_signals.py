@@ -92,6 +92,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"decay={decay} at k={k} underflows"):
             SignalModelSpec(model="exp_decay", n=k, k=k, decay=decay)
 
+    def test_float32_decay_checked_in_float64(self):
+        # decay^(k-1) was computed in float32, which underflows at 0.5^199 and refused this spec
+        spec = SignalModelSpec(model="exp_decay", n=400, k=200, decay=np.float32(0.5))
+        assert spec == SignalModelSpec(model="exp_decay", n=400, k=200, decay=0.5)
+        assert type(spec.decay) is float
+
     def test_exp_decay_largest_k_kept(self):
         # the default decay's largest accepted k keeps a positive energy in every entry
         sig = generate(SignalModelSpec(model="exp_decay", n=2087, k=2087), np.random.default_rng(0))

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from gesp.measurement import MeasurementSet, measure, sample_sensing
 from gesp.spectrum import build, diagonal, expectation_oracle, matvec, submatrix
-from gesp.signals import SignalModelSpec, generate
+from gesp.pursuit import residual_score
+from gesp.signals import SignalModelSpec, SparseSignal, generate
 
 from oracles import dense_spectrum
 
@@ -247,3 +248,19 @@ class TestBitForBitPins:
                 expected = np.zeros(n, dtype=complex)
             got = matvec(op, v)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "real", "sparse"])
+    def test_measure_is_support_formula_and_truth_scores_zero(self, kind):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 90))
+            sensing = _entries(rng, (m, n), kind)
+            v = _entries(rng, n, "sparse")
+            v[rng.random(n) < 0.5] = 0
+            v[rng.random(n) < 0.1] = -0.0  # a signed zero is off the support
+            v[rng.integers(n)] = 0.5 - 1.5j  # a signal has a nonzero
+            x = SparseSignal(vector=v)
+            meas = measure(x, sensing)
+            expected = np.abs(sensing[:, x.support].conj() @ x.vector[x.support])
+            assert np.array_equal(meas.y.view(np.uint64), expected.view(np.uint64))
+            assert residual_score(meas, x.vector) == 0.0
